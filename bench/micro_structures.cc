@@ -264,8 +264,8 @@ BENCHMARK(BM_WorkloadNext);
 void
 BM_StatScalarIncrement(benchmark::State &state)
 {
-    // The per-op accounting pattern before batching: every event bumps
-    // a registered ScalarStat directly.
+    // The memory system's per-op accounting: every event bumps a
+    // registered ScalarStat directly.
     StatGroup stats("mem");
     ScalarStat demand(stats, "demand_accesses", "demand accesses");
     ScalarStat hits(stats, "l2_hits", "L2 hits");
@@ -285,8 +285,8 @@ BENCHMARK(BM_StatScalarIncrement);
 void
 BM_StatBatchedIncrement(benchmark::State &state)
 {
-    // The batched pattern the hot path uses: plain local counters,
-    // flushed into the registered stats at sampling boundaries.
+    // The batched pattern the core uses: plain local counters,
+    // added into the registered stats in bulk.
     StatGroup stats("mem");
     ScalarStat demand(stats, "demand_accesses", "demand accesses");
     ScalarStat hits(stats, "l2_hits", "L2 hits");

@@ -21,6 +21,15 @@
 namespace fdp
 {
 
+FdpParams
+RunConfig::resolvedFdpParams() const
+{
+    FdpParams fp = fdp;
+    if (!fp.dynamicAggressiveness)
+        fp.initialLevel = staticLevel;
+    return fp;
+}
+
 RunConfig
 RunConfig::noPrefetching()
 {
@@ -184,17 +193,6 @@ defaultManagerZoo()
 namespace
 {
 
-/** FdpParams as the machine actually runs them: a static-aggressiveness
- *  configuration pins the controller to the static level. */
-FdpParams
-resolvedFdpParams(const RunConfig &config)
-{
-    FdpParams fp = config.fdp;
-    if (!fp.dynamicAggressiveness)
-        fp.initialLevel = config.staticLevel;
-    return fp;
-}
-
 /** The prefetcher's construction-time aggressiveness level. */
 unsigned
 startLevel(const RunConfig &config)
@@ -227,7 +225,7 @@ makeRunPrefetcher(const RunConfig &config)
 
 SimMachine::SimMachine(Workload &workload, const RunConfig &config)
     : prefetcher(makeRunPrefetcher(config)),
-      fdp(resolvedFdpParams(config),
+      fdp(config.resolvedFdpParams(),
           config.warmupInsts == 0 ? prefetcher.get() : nullptr, fdpStats),
       mem(config.machine, events,
           config.warmupInsts == 0 ? prefetcher.get() : nullptr, fdp,
@@ -251,7 +249,6 @@ measurementBoundary(SimMachine &m)
     FDP_ASSERT(m.events.empty(),
                "measurement boundary: %zu events pending after drain",
                m.events.size());
-    m.mem.flushStats();
     m.fdpStats.resetAll();
     m.memStats.resetAll();
     m.coreStats.resetAll();
@@ -283,41 +280,37 @@ wireAudits(SimMachine &m, AuditSet &audits)
     if (const auto *aw = dynamic_cast<const Auditable *>(&m.workload))
         audits.add(aw);
     const bool periodicAudit = debugBuild() || auditRequestedByEnv();
-    // Every sampling interval publishes the memory system's batched
-    // counters, so the stat group is exact at each paper checkpoint;
-    // audit builds then verify the whole machine at the same cadence.
-    // A managed prefetcher also consumes the closed interval here —
-    // after the FDP controller has applied its own throttling policy —
-    // so reconfiguration and throttling share one boundary.
+    // A managed prefetcher consumes each closed interval; audit builds
+    // then verify the whole machine at the same paper checkpoint.
     auto *manager = dynamic_cast<ManagedPrefetcher *>(m.prefetcher.get());
     m.fdp.setEndOfIntervalHook([&m, &audits, periodicAudit, manager] {
-        m.mem.flushStats();
-        if (manager != nullptr) {
-            const FeedbackCounters &fc = m.fdp.counters();
-            manager->intervalTick({fc.accuracy(), fc.lateness(),
-                                   fc.pollution(), m.core.retired(),
-                                   m.events.horizon()});
-            if (std::getenv("FDP_MANAGER_TRACE") != nullptr)
-                std::cerr << "mgr tick=" << manager->ticks()
-                          << " ops=" << m.core.retired() << " phase="
-                          << (manager->phase() ==
-                                      ManagedPrefetcher::Phase::Explore
-                                  ? "explore"
-                                  : "exploit")
-                          << " active=" << manager->activeName()
-                          << '\n';
-        }
+        if (manager != nullptr)
+            tickManager(*manager, m.fdp, m.core, m.events);
         if (periodicAudit)
             audits.runAll();
     });
     return periodicAudit;
 }
 
+void
+tickManager(ManagedPrefetcher &manager, const FdpController &fdp,
+            const OooCore &core, const EventQueue &events)
+{
+    const FeedbackCounters &fc = fdp.counters();
+    manager.intervalTick({fc.accuracy(), fc.lateness(), fc.pollution(),
+                          core.retired(), events.horizon()});
+    if (std::getenv("FDP_MANAGER_TRACE") != nullptr)
+        std::cerr << "mgr tick=" << manager.ticks()
+                  << " ops=" << core.retired() << " phase="
+                  << (manager.phase() == ManagedPrefetcher::Phase::Explore
+                          ? "explore"
+                          : "exploit")
+                  << " active=" << manager.activeName() << '\n';
+}
+
 RunResult
 extractResult(SimMachine &m, const std::string &configLabel)
 {
-    // Publish batched counters before reading the stat group directly.
-    m.mem.flushStats();
     RunResult r;
     r.benchmark = m.workload.name();
     r.config = configLabel;

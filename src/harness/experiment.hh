@@ -71,6 +71,10 @@ struct RunConfig
      */
     std::uint64_t warmupInsts = 0;
 
+    /** FdpParams as every core's controller runs them: a static
+     *  configuration pins the controller to the static level. */
+    FdpParams resolvedFdpParams() const;
+
     /// @name Named configurations used throughout the paper
     /// @{
 
@@ -196,7 +200,7 @@ struct SimMachine
 
 /**
  * Transition @p m from warm-up to measurement: drain in-flight misses
- * to a quiesce point, flush and zero every statistic, zero DRAM's
+ * to a quiesce point, zero every statistic and the memory system's
  * per-core attribution, reset the FDP controller to its configured
  * initial policy, and attach the per-configuration prefetcher. Both
  * the cold path (after an in-place warm-up run) and the fork path
@@ -212,6 +216,14 @@ void measurementBoundary(SimMachine &m);
  * run a final pass after the measured run.
  */
 bool wireAudits(SimMachine &m, AuditSet &audits);
+
+/**
+ * Hand @p manager the interval @p fdp just closed, from that controller's
+ * end-of-interval hook: reconfiguration and throttling share one
+ * boundary. FDP_MANAGER_TRACE=1 logs each tick to stderr.
+ */
+void tickManager(ManagedPrefetcher &manager, const FdpController &fdp,
+                 const OooCore &core, const EventQueue &events);
 
 /** Pull every RunResult field out of a finished measured run. */
 RunResult extractResult(SimMachine &m, const std::string &configLabel);

@@ -38,7 +38,6 @@ captureWarmSnapshot(const std::string &benchmark, const RunConfig &config)
     FDP_ASSERT(m.events.empty(),
                "warm snapshot: %zu events pending after drain",
                m.events.size());
-    m.mem.flushStats();
 
     SnapshotImageBody body = captureMachine(m.parts());
     SnapshotImage image;

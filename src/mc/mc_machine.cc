@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "manage/prefetcher_manager.hh"
-#include "mc/mc_memory_system.hh"
 #include "sim/logging.hh"
 
 namespace fdp
@@ -50,9 +49,7 @@ runMcWorkloads(const McRunConfig &config,
     std::deque<OooCore> cores;
     std::vector<std::unique_ptr<Prefetcher>> prefetchers;
 
-    FdpParams fp = config.base.fdp;
-    if (!fp.dynamicAggressiveness)
-        fp.initialLevel = config.base.staticLevel;
+    const FdpParams fp = config.base.resolvedFdpParams();
 
     std::vector<Prefetcher *> pfPtrs;
     std::vector<FdpController *> fdpPtrs;
@@ -77,7 +74,7 @@ runMcWorkloads(const McRunConfig &config,
         groupPtrs.push_back(&coreStats.back());
     }
 
-    McMemorySystem mem(config.base.machine, events, pfPtrs, fdpPtrs,
+    MemorySystem mem(config.base.machine, events, pfPtrs, fdpPtrs,
                        sharedStats, groupPtrs);
     for (unsigned i = 0; i < n; ++i)
         cores.emplace_back(config.base.core, mem.port(CoreId(i)), events,
@@ -108,17 +105,13 @@ runMcWorkloads(const McRunConfig &config,
             continue;
         FdpController &ctrl = controllers[i];
         OooCore &core = cores[i];
-        ctrl.setEndOfIntervalHook(
-            [&audits, &events, &ctrl, &core, mgr, auditsHere] {
-                if (mgr != nullptr) {
-                    const FeedbackCounters &fc = ctrl.counters();
-                    mgr->intervalTick({fc.accuracy(), fc.lateness(),
-                                       fc.pollution(), core.retired(),
-                                       events.horizon()});
-                }
-                if (auditsHere)
-                    audits.runAll();
-            });
+        ctrl.setEndOfIntervalHook([&audits, &events, &ctrl, &core, mgr,
+                                   auditsHere] {
+            if (mgr != nullptr)
+                tickManager(*mgr, ctrl, core, events);
+            if (auditsHere)
+                audits.runAll();
+        });
     }
 
     // Lockstep drive: every core steps at every simulated cycle, in

@@ -1,15 +1,18 @@
 /**
  * @file
  * Multi-core co-run driver (DESIGN.md §13): N OooCore pipelines over
- * one McMemorySystem, advanced in lockstep on ONE shared event queue.
+ * one N-core MemorySystem, advanced in lockstep on ONE shared event
+ * queue.
  *
  * Every simulated cycle, cores step in core-id order (retire then
  * dispatch); when no core makes progress the clock jumps to the next
  * event or head-of-ROB wake cycle, exactly like the single-core run
  * loop. The interleaving is therefore a pure function of the
  * configuration and the workloads — bit-identical across hosts, job
- * counts, and repeated runs — and a 1-core McMachine run reproduces
- * OooCore::run() over MemorySystem cycle for cycle.
+ * counts, and repeated runs — and a 1-core co-run reproduces
+ * OooCore::run() over a one-core MemorySystem cycle for cycle.
+ * Single-core runs keep OooCore::run(), which is faster than this
+ * lockstep loop at N=1 (DESIGN.md §13).
  *
  * Each core runs until IT has retired the per-core budget; cores that
  * finish early stop issuing while the rest keep contending (their

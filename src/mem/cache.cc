@@ -114,6 +114,7 @@ SetAssocCache::access(BlockAddr block, bool isWrite)
     CacheAccessResult result;
     result.hit = true;
     result.hitPrefetched = (l.flags & kPref) != 0;
+    result.owner = l.owner;
     l.flags &= static_cast<std::uint8_t>(~kPref);
     if (isWrite)
         l.flags |= kDirty;

@@ -48,6 +48,8 @@ struct CacheAccessResult
     bool hit = false;
     /** Hit on a block whose pref-bit was set (bit is cleared by the hit). */
     bool hitPrefetched = false;
+    /** On a hit, the core whose fill installed the block. */
+    CoreId owner;
 };
 
 /** Information about a block evicted by an insertion. */

@@ -3,9 +3,9 @@
  * The demand-side interface a core uses to reach its memory hierarchy.
  *
  * OooCore issues loads and stores through this port, so the same core
- * model runs against the single-core MemorySystem and against one
- * per-core port of the shared multi-core hierarchy (src/mc/) without
- * knowing which it is attached to.
+ * model runs against a one-core MemorySystem (which is core 0's port
+ * itself) and against one per-core port of an N-core MemorySystem
+ * without knowing which it is attached to.
  */
 
 #ifndef FDP_MEM_MEMORY_PORT_HH

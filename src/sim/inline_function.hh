@@ -142,7 +142,7 @@ inline constexpr std::size_t kDoneFnBytes = 40;
 /**
  * Completion callback invoked with the cycle the data is available.
  * Shared by the MSHR waiter lists, the DRAM request queues, and the
- * MemorySystem demand-access API.
+ * demand-access API of MemorySystem and its per-core ports.
  */
 using DoneFn = InplaceFunction<void(Cycle), kDoneFnBytes>;
 

@@ -9,10 +9,11 @@
 namespace fdp
 {
 
-ScalarStat::ScalarStat(StatGroup &group, std::string name, std::string desc)
+ScalarStat::ScalarStat(StatGroup *group, std::string name, std::string desc)
     : name_(std::move(name)), desc_(std::move(desc))
 {
-    group.scalars_.push_back(this);
+    if (group != nullptr)
+        group->scalars_.push_back(this);
 }
 
 DistributionStat::DistributionStat(StatGroup &group, std::string name,

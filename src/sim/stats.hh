@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/snapshot.hh"
@@ -29,7 +30,14 @@ class ScalarStat
 {
   public:
     /** Register this statistic as @p name under @p group. */
-    ScalarStat(StatGroup &group, std::string name, std::string desc);
+    ScalarStat(StatGroup &group, std::string name, std::string desc)
+        : ScalarStat(&group, std::move(name), std::move(desc))
+    {
+    }
+
+    /** As above; a null @p group leaves the counter unregistered, so no
+     *  group ever dumps, resets or serializes it. */
+    ScalarStat(StatGroup *group, std::string name, std::string desc);
 
     ScalarStat(const ScalarStat &) = delete;
     ScalarStat &operator=(const ScalarStat &) = delete;

@@ -515,25 +515,40 @@ TEST(TraceReaderAuditDeathTest, ConsumedAheadOfFetchedCaught)
 }
 
 // ---------------------------------------------------------------------------
-// MemorySystem (delegating audit over the whole hierarchy)
+// MemorySystem: the delegating audit over the whole hierarchy, and (with
+// two cores) core-id tagging and stat-scoping conservation
 // ---------------------------------------------------------------------------
 
+/** A memory system of @p cores cores, each having served one miss. */
 struct SystemUnderAudit
 {
     EventQueue events;
-    StatGroup fdp_stats{"fdp"};
-    StatGroup mem_stats{"mem"};
-    std::unique_ptr<FdpController> fdp;
+    StatGroup shared_stats{"mem"};
+    std::deque<StatGroup> core_stats;
+    std::deque<FdpController> fdps;
     std::unique_ptr<MemorySystem> mem;
 
-    SystemUnderAudit()
+    explicit SystemUnderAudit(unsigned cores = 1)
     {
-        FdpParams fp;
-        fp.dynamicAggressiveness = false;
-        fdp = std::make_unique<FdpController>(fp, nullptr, fdp_stats);
+        std::vector<Prefetcher *> pf_ptrs;
+        std::vector<FdpController *> fdp_ptrs;
+        std::vector<StatGroup *> group_ptrs;
+        for (unsigned i = 0; i < cores; ++i) {
+            core_stats.emplace_back("c" + std::to_string(i));
+            FdpParams fp;
+            fp.dynamicAggressiveness = false;
+            fp.label = "fdp_controller.c" + std::to_string(i);
+            fdps.emplace_back(fp, nullptr, core_stats.back());
+            pf_ptrs.push_back(nullptr);
+            fdp_ptrs.push_back(&fdps.back());
+            group_ptrs.push_back(&core_stats.back());
+        }
         mem = std::make_unique<MemorySystem>(MachineParams{}, events,
-                                             nullptr, *fdp, mem_stats);
-        mem->demandAccess(0x100000, 0x1000, false, 0, [](Cycle) {});
+                                             pf_ptrs, fdp_ptrs,
+                                             shared_stats, group_ptrs);
+        for (unsigned i = 0; i < cores; ++i)
+            mem->demandAccess(CoreId(i), 0x100000 + i * 0x800000,
+                              0x1000 + i * 0x1000, false, 0, [](Cycle) {});
         events.serviceUntil(1000000);
     }
 };
@@ -558,74 +573,36 @@ TEST(MemorySystemAuditDeathTest, NestedL2CorruptionCaught)
     EXPECT_DEATH(s.mem->audit(), "L2: set");
 }
 
-// ---------------------------------------------------------------------------
-// McMemorySystem (core-id tagging and stat-scoping conservation)
-// ---------------------------------------------------------------------------
-
-struct McSystemUnderAudit
-{
-    EventQueue events;
-    StatGroup shared_stats{"mem"};
-    std::deque<StatGroup> core_stats;
-    std::deque<FdpController> fdps;
-    std::unique_ptr<McMemorySystem> mem;
-
-    McSystemUnderAudit()
-    {
-        std::vector<Prefetcher *> pf_ptrs;
-        std::vector<FdpController *> fdp_ptrs;
-        std::vector<StatGroup *> group_ptrs;
-        for (unsigned i = 0; i < 2; ++i) {
-            core_stats.emplace_back("c" + std::to_string(i));
-            FdpParams fp;
-            fp.dynamicAggressiveness = false;
-            fp.label = "fdp_controller.c" + std::to_string(i);
-            fdps.emplace_back(fp, nullptr, core_stats.back());
-            pf_ptrs.push_back(nullptr);
-            fdp_ptrs.push_back(&fdps.back());
-            group_ptrs.push_back(&core_stats.back());
-        }
-        mem = std::make_unique<McMemorySystem>(MachineParams{}, events,
-                                               pf_ptrs, fdp_ptrs,
-                                               shared_stats, group_ptrs);
-        mem->demandAccess(CoreId(0), 0x100000, 0x1000, false, 0,
-                          [](Cycle) {});
-        mem->demandAccess(CoreId(1), 0x900000, 0x2000, false, 0,
-                          [](Cycle) {});
-        events.serviceUntil(1000000);
-    }
-};
-
 TEST(McMemorySystemAudit, CleanSystemPasses)
 {
-    McSystemUnderAudit s;
+    SystemUnderAudit s(2);
     s.mem->audit();
 }
 
 TEST(McMemorySystemAuditDeathTest, QueuedDemandWithBadCoreTagCaught)
 {
-    McSystemUnderAudit s;
-    AuditCorrupter::mcTagQueuedDemandBadCore(*s.mem);
+    SystemUnderAudit s(2);
+    AuditCorrupter::memorySystemTagQueuedDemandBadCore(*s.mem);
     EXPECT_DEATH(s.mem->audit(), "queued demand tagged with core");
 }
 
 TEST(McMemorySystemAuditDeathTest, OverfullPerCorePrefetchQueueCaught)
 {
-    McSystemUnderAudit s;
-    AuditCorrupter::mcOverfillPrefetchQueue(*s.mem);
+    SystemUnderAudit s(2);
+    AuditCorrupter::memorySystemOverfillQueue(*s.mem, CoreId(1));
     EXPECT_DEATH(s.mem->audit(), "prefetch request queue holds");
 }
 
 TEST(McMemorySystemAuditDeathTest, BrokenStatConservationCaught)
 {
-    McSystemUnderAudit s;
-    AuditCorrupter::mcBreakStatConservation(*s.mem);
+    SystemUnderAudit s(2);
+    AuditCorrupter::memorySystemBreakStatConservation(*s.mem);
     EXPECT_DEATH(s.mem->audit(), "shared total");
 }
 
 TEST(McMemorySystemAuditDeathTest, DesynchronizedIntervalsCaught)
 {
-    McSystemUnderAudit s;
+    SystemUnderAudit s(2);
     AuditCorrupter::controllerSkipInterval(s.fdps.back());
     EXPECT_DEATH(s.mem->audit(), "sampling intervals");
 }

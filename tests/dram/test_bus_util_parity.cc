@@ -1,10 +1,11 @@
 /**
  * @file
  * The PrefetchObservation::busUtil window must be sourced from the DRAM
- * backend's measured data-bus occupancy identically in the single-core
- * MemorySystem and the multi-core McMemorySystem: the same request
- * stream reports the same utilization through either path, for both
- * the flat model and the FR-FCFS controller.
+ * backend's measured data-bus occupancy identically whether the memory
+ * system is built as a one-core machine or through the N-core
+ * constructor with one core and its own per-core group: the same
+ * request stream reports the same utilization either way, for both the
+ * flat model and the FR-FCFS controller.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "mc/mc_memory_system.hh"
 #include "mem/memory_system.hh"
 #include "prefetch/stream_prefetcher.hh"
 
@@ -44,62 +44,45 @@ demandStream()
     return addrs;
 }
 
+/** Run the stream through a one-core machine, built through the
+ *  one-core constructor or (@p perCoreGroup) the N-core one. */
 ParityResult
-runSingle(const MachineParams &mp)
+runStream(const MachineParams &mp, bool perCoreGroup)
 {
     EventQueue events;
-    StatGroup fdp_stats{"fdp"}, mem_stats{"mem"};
+    StatGroup fdp_stats{"fdp"}, mem_stats{"mem"}, core0{"c0"};
     StreamPrefetcherParams sp;
     sp.initialLevel = 5;
     StreamPrefetcher pf(sp);
     FdpParams fp;
     fp.dynamicAggressiveness = false;
-    FdpController fdp(fp, &pf, fdp_stats);
-    MemorySystem mem(mp, events, &pf, fdp, mem_stats);
+    FdpController fdp(fp, &pf, perCoreGroup ? core0 : fdp_stats);
+    std::unique_ptr<MemorySystem> mem =
+        perCoreGroup ? std::make_unique<MemorySystem>(
+                           mp, events, std::vector<Prefetcher *>{&pf},
+                           std::vector<FdpController *>{&fdp}, mem_stats,
+                           std::vector<StatGroup *>{&core0})
+                     : std::make_unique<MemorySystem>(mp, events, &pf, fdp,
+                                                      mem_stats);
     for (const Addr a : demandStream()) {
         Cycle done = kNoCycle;
-        mem.demandAccess(a, 0x1000, false, events.horizon(),
-                         [&](Cycle c) { done = c; });
+        mem->demandAccess(a, 0x1000, false, events.horizon(),
+                          [&](Cycle c) { done = c; });
         // Blocking load: the bus stays busy across window boundaries,
         // so the last closed window always carries traffic.
         while (done == kNoCycle)
             events.serviceUntil(events.horizon() + 50);
     }
-    mem.audit();
-    return {mem.busUtilization(), mem.dram().busBusyCycles(),
-            mem.dram().busAccesses()};
-}
-
-ParityResult
-runMc(const MachineParams &mp)
-{
-    EventQueue events;
-    StatGroup shared{"mem"};
-    StatGroup core0{"c0"};
-    StreamPrefetcherParams sp;
-    sp.initialLevel = 5;
-    StreamPrefetcher pf(sp);
-    FdpParams fp;
-    fp.dynamicAggressiveness = false;
-    FdpController fdp(fp, &pf, core0);
-    McMemorySystem mem(mp, events, {&pf}, {&fdp}, shared, {&core0});
-    for (const Addr a : demandStream()) {
-        Cycle done = kNoCycle;
-        mem.demandAccess(kCore0, a, 0x1000, false, events.horizon(),
-                         [&](Cycle c) { done = c; });
-        while (done == kNoCycle)
-            events.serviceUntil(events.horizon() + 50);
-    }
-    mem.audit();
-    return {mem.busUtilization(), mem.dram().busBusyCycles(),
-            mem.dram().busAccesses()};
+    mem->audit();
+    return {mem->busUtilization(), mem->dram().busBusyCycles(),
+            mem->dram().busAccesses()};
 }
 
 TEST(BusUtilParity, FlatBackendPathsAgree)
 {
     MachineParams mp;
-    const ParityResult a = runSingle(mp);
-    const ParityResult b = runMc(mp);
+    const ParityResult a = runStream(mp, false);
+    const ParityResult b = runStream(mp, true);
     EXPECT_GT(a.busUtil, 0.0);
     EXPECT_EQ(a.busUtil, b.busUtil);
     EXPECT_EQ(a.busBusyCycles, b.busBusyCycles);
@@ -111,8 +94,8 @@ TEST(BusUtilParity, ControllerBackendPathsAgree)
     MachineParams mp;
     mp.dramCtrl.kind = DramKind::Controller;
     mp.dramCtrl.channels = 2;
-    const ParityResult a = runSingle(mp);
-    const ParityResult b = runMc(mp);
+    const ParityResult a = runStream(mp, false);
+    const ParityResult b = runStream(mp, true);
     EXPECT_GT(a.busUtil, 0.0);
     EXPECT_EQ(a.busUtil, b.busUtil);
     EXPECT_EQ(a.busBusyCycles, b.busBusyCycles);
@@ -129,8 +112,8 @@ TEST(BusUtilParity, ControllerNormalizesByChannelCount)
     MachineParams four;
     four.dramCtrl.kind = DramKind::Controller;
     four.dramCtrl.channels = 4;
-    const ParityResult u1 = runSingle(one);
-    const ParityResult u4 = runSingle(four);
+    const ParityResult u1 = runStream(one, false);
+    const ParityResult u4 = runStream(four, false);
     EXPECT_GT(u1.busUtil, 0.0);
     EXPECT_GT(u4.busUtil, 0.0);
     EXPECT_LE(u4.busUtil, u1.busUtil);

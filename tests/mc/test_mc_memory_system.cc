@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared-hierarchy tests for the multi-core memory system: private L1s
- * over one L2/MSHR/DRAM, per-core attribution of misses, bus traffic,
- * and pollution, cross-core MSHR merging, and the stat-scoping
- * conservation audit.
+ * Shared-hierarchy tests for the memory system with several cores:
+ * private L1s over one L2/MSHR/DRAM, per-core attribution of misses,
+ * bus traffic, and pollution, cross-core MSHR merging, the stat-scoping
+ * conservation audit, and the N-core snapshot round trip.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "mc/mc_memory_system.hh"
+#include "mem/memory_system.hh"
+#include "sim/snapshot.hh"
 #include "prefetch/stream_prefetcher.hh"
 
 namespace fdp
@@ -27,7 +28,7 @@ struct McSystem
     std::deque<StatGroup> core_stats;
     std::vector<std::unique_ptr<StreamPrefetcher>> pfs;
     std::deque<FdpController> fdps;
-    std::unique_ptr<McMemorySystem> mem;
+    std::unique_ptr<MemorySystem> mem;
 
     explicit McSystem(unsigned cores, bool with_prefetchers = false,
                       MachineParams mp = {})
@@ -52,9 +53,9 @@ struct McSystem
             fdp_ptrs.push_back(&fdps.back());
             group_ptrs.push_back(&core_stats.back());
         }
-        mem = std::make_unique<McMemorySystem>(mp, events, pf_ptrs,
-                                               fdp_ptrs, shared_stats,
-                                               group_ptrs);
+        mem = std::make_unique<MemorySystem>(mp, events, pf_ptrs,
+                                             fdp_ptrs, shared_stats,
+                                             group_ptrs);
     }
 
     /** Blocking demand load: returns the completion cycle. */
@@ -214,17 +215,6 @@ TEST(McMemorySystem, QuiescedAfterDrain)
     s.mem->audit();
 }
 
-TEST(McMemorySystem, SingleCoreMatchesMemorySystemLatencies)
-{
-    // The 1-core McMemorySystem must reproduce MemorySystem's latency
-    // composition exactly (the full parity run lives in
-    // test_mc_machine.cc).
-    McSystem s(1);
-    EXPECT_EQ(s.load(0, 0x100000, 0), 512u);
-    const Cycle t = s.events.horizon();
-    EXPECT_EQ(s.load(0, 0x100000, t) - t, 2u);
-}
-
 TEST(McMemorySystem, PrefetchCacheModeIsRejected)
 {
     MachineParams mp;
@@ -250,6 +240,89 @@ TEST(McMemorySystem, StatConservationHoldsUnderMixedTraffic)
     for (unsigned c = 0; c < 4; ++c)
         demand += s.mem->demandAccesses(CoreId(c));
     EXPECT_EQ(demand, 256u);
+}
+
+/** Drive mixed two-core traffic with prefetching and drain it. */
+void
+runTwoCoreTraffic(McSystem &s)
+{
+    Cycle t = 0;
+    for (int i = 0; i < 192; ++i) {
+        const unsigned c = i % 2;
+        s.load(c, (Addr{c + 1} << 28) + (i / 2) * 64, t);
+        if (i % 3 == 0)
+            s.mem->demandAccess(CoreId(c), (Addr{c + 1} << 28) + i * 4096,
+                                0x2000, true, s.events.horizon(),
+                                [](Cycle) {});
+        t = s.events.horizon() + 200;
+    }
+    s.events.serviceUntil(t + 10000000);
+}
+
+/** Serialize the memory system and every stat group it writes to. */
+std::vector<std::uint8_t>
+saveTwoCore(const McSystem &s)
+{
+    SnapWriter w;
+    s.mem->saveState(w);
+    s.shared_stats.saveState(w);
+    for (const StatGroup &g : s.core_stats)
+        g.saveState(w);
+    return w.bytes();
+}
+
+TEST(McMemorySystem, TwoCoreSnapshotRoundTrips)
+{
+    MachineParams mp;
+    mp.l2 = CacheParams{"L2", 16 * 1024, 4};  // evictions and pollution
+    McSystem a(2, true, mp);
+    runTwoCoreTraffic(a);
+    ASSERT_TRUE(a.mem->quiesced());
+    ASSERT_GT(a.mem->demandAccesses(CoreId(1)), 0u);
+    const std::vector<std::uint8_t> saved = saveTwoCore(a);
+
+    McSystem b(2, true, mp);
+    SnapReader r(saved);
+    b.mem->loadState(r);
+    b.shared_stats.loadState(r);
+    for (StatGroup &g : b.core_stats)
+        g.loadState(r);
+    EXPECT_TRUE(r.atEnd());
+
+    // Re-saving the restored machine reproduces the image exactly, so
+    // the per-core L1s, counters and owner tags all came back; spot
+    // check each of them.
+    EXPECT_EQ(saveTwoCore(b), saved);
+    b.mem->audit();
+    for (const CoreId core : {kCore0, CoreId(1)}) {
+        EXPECT_EQ(b.mem->demandAccesses(core),
+                  a.mem->demandAccesses(core));
+        EXPECT_EQ(b.mem->pollutionInflicted(core),
+                  a.mem->pollutionInflicted(core));
+    }
+    const BlockAddr mine = blockAddr((Addr{2} << 28) + 95 * 64);
+    EXPECT_TRUE(b.mem->l1(CoreId(1)).probe(mine));
+    EXPECT_FALSE(b.mem->l1(kCore0).probe(mine));
+    EXPECT_EQ(b.mem->l2().ownerOf(mine), CoreId(1));
+
+    // Both machines continue identically from the restore point.
+    const Cycle t = a.events.horizon();
+    b.events.serviceUntil(t);
+    EXPECT_EQ(a.load(1, Addr{2} << 28, t) - t,
+              b.load(1, Addr{2} << 28, t) - t);
+    EXPECT_EQ(saveTwoCore(a), saveTwoCore(b));
+}
+
+TEST(McMemorySystem, SnapshotCoreCountMismatchIsFatal)
+{
+    McSystem a(2);
+    a.load(1, 0x100000, 0);
+    SnapWriter w;
+    a.mem->saveState(w);
+    McSystem b(3);
+    SnapReader r(w.bytes());
+    EXPECT_EXIT(b.mem->loadState(r), testing::ExitedWithCode(1),
+                "snapshot");
 }
 
 } // namespace

@@ -90,6 +90,15 @@ TEST(Cache, PrefBitSetAndClearedOnUse)
     EXPECT_FALSE(r.hitPrefetched);
 }
 
+TEST(Cache, HitReportsInstallingCore)
+{
+    CacheParams p = smallCache();
+    p.numCores = 4;
+    SetAssocCache c(p);
+    c.insert(5, true, InsertPos::Mru, false, CoreId(2));
+    EXPECT_EQ(c.access(5, false).owner, CoreId(2));
+}
+
 TEST(Cache, VictimReportsPrefBit)
 {
     SetAssocCache c(smallCache(1, 1));
@@ -292,7 +301,7 @@ class ReferenceLruCache
         if (w < 0)
             return {};
         Way &way = set.ways[static_cast<std::size_t>(w)];
-        CacheAccessResult r{true, way.prefBit};
+        CacheAccessResult r{true, way.prefBit, kCore0};
         way.prefBit = false;
         if (isWrite)
             way.dirty = true;

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
+#include "cpu/ooo_core.hh"
 #include "mem/memory_system.hh"
 #include "prefetch/stream_prefetcher.hh"
+#include "workload/spec_suite.hh"
 
 namespace fdp
 {
@@ -240,8 +244,6 @@ TEST(MemorySystem, WritebacksReachDram)
         t = s.events.horizon() + 1000;
     }
     s.events.serviceUntil(t + 1000000);
-    // Reading the stat group directly: publish the batched counters.
-    s.mem->flushStats();
     bool saw_writeback = false;
     for (const auto *st : s.mem_stats.scalars())
         if (st->name() == "writebacks" && st->value() > 0)
@@ -302,18 +304,6 @@ TEST(MemorySystem, MshrFullDemandEventuallyServed)
     EXPECT_TRUE(s.mem->quiesced());
 }
 
-TEST(MemorySystem, QuiescedAfterDrain)
-{
-    System s(true);
-    Cycle t = 0;
-    for (int i = 0; i < 16; ++i) {
-        s.load(0xC00000 + i * 64, t);
-        t = s.events.horizon() + 1;
-    }
-    s.events.serviceUntil(t + 10000000);
-    EXPECT_TRUE(s.mem->quiesced());
-}
-
 TEST(MemorySystem, NoPrefetcherMeansNoPrefetchTraffic)
 {
     System s(false);
@@ -325,6 +315,48 @@ TEST(MemorySystem, NoPrefetcherMeansNoPrefetchTraffic)
     s.events.serviceUntil(t + 1000000);
     EXPECT_EQ(s.mem->prefetchesIssued(), 0u);
     EXPECT_DOUBLE_EQ(s.fdp->lifetimeAccuracy(), 0.0);
+}
+
+TEST(MemorySystem, StatGroupMatchesAccessorsAfterPlainRun)
+{
+    // The quickstart assembly: a hand-built machine driven by
+    // OooCore::run alone, with no interval hook and nothing published
+    // after the run. Every counter must already sit in its statistic.
+    EventQueue events;
+    StreamPrefetcher prefetcher(StreamPrefetcherParams{});
+    StatGroup fdp_stats("fdp"), mem_stats("mem"), core_stats("core");
+    FdpController fdp(FdpParams{}, &prefetcher, fdp_stats);
+    MemorySystem mem(MachineParams{}, events, &prefetcher, fdp, mem_stats);
+    auto workload = makeBenchmark("art");
+    OooCore core(CoreParams{}, mem, events, *workload, core_stats);
+    core.run(300'000);
+
+    std::map<std::string, std::uint64_t> stat;
+    for (const ScalarStat *st : mem_stats.scalars())
+        stat[st->name()] = st->value();
+    const std::map<std::string, std::uint64_t> expected = {
+        {"demand_accesses", mem.demandAccesses()},
+        {"l1_hits", mem.demandAccesses() - mem.l1Misses()},
+        {"l1_misses", mem.l1Misses()},
+        {"l2_hits",
+         mem.l1Misses() - mem.l2Misses() - mem.prefetchCacheHits()},
+        {"l2_misses", mem.l2Misses()},
+        {"mshr_stalls", mem.mshrStalls()},
+        {"pref_issued", mem.prefetchesIssued()},
+        {"pcache_hits", mem.prefetchCacheHits()},
+        {"bus_accesses", mem.dram().busAccesses()},
+        {"bus_busy_cycles", mem.dram().busBusyCycles()},
+    };
+    for (const auto &[name, value] : expected) {
+        ASSERT_EQ(stat.count(name), 1u) << name;
+        EXPECT_EQ(stat[name], value) << name;
+    }
+    EXPECT_GT(stat["l2_misses"], 0u);
+    EXPECT_GT(stat["writebacks"], 0u);
+    EXPECT_DOUBLE_EQ(mem.avgDemandMissLatency(),
+                     static_cast<double>(stat["demand_miss_cycles"]) /
+                         static_cast<double>(stat["demand_miss_fills"]));
+    mem.audit();
 }
 
 } // namespace

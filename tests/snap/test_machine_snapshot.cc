@@ -39,7 +39,6 @@ runAndCapture(SimMachine &m, std::uint64_t insts)
 {
     m.core.run(insts);
     drainToQuiesce(m.events, m.mem);
-    m.mem.flushStats();
     return captureMachine(m.parts());
 }
 

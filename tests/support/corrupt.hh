@@ -17,7 +17,6 @@
 #include "core/pollution_filter.hh"
 #include "dram/dram_controller.hh"
 #include "manage/prefetcher_manager.hh"
-#include "mc/mc_memory_system.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/memory_system.hh"
@@ -248,11 +247,12 @@ struct AuditCorrupter
         mgr.exploreIdx_ = (mgr.active_ + 1) % mgr.zoo_.size();
     }
 
-    /** Overfill the Prefetch Request Queue past its capacity. */
+    /** Overfill @p core's Prefetch Request Queue past its capacity. */
     static void
-    memorySystemOverfillQueue(MemorySystem &mem)
+    memorySystemOverfillQueue(MemorySystem &mem, CoreId core = kCore0)
     {
-        mem.prefetchQueue_.resize(mem.params_.prefetchQueueCap + 1, 0);
+        mem.core(core).prefetchQueue.resize(
+            mem.params_.prefetchQueueCap + 1, 0);
     }
 
     /** Corrupt the L2 recency stack beneath the memory system. */
@@ -264,25 +264,17 @@ struct AuditCorrupter
 
     /** Queue a demand tagged with a core the machine does not have. */
     static void
-    mcTagQueuedDemandBadCore(McMemorySystem &mc)
+    memorySystemTagQueuedDemandBadCore(MemorySystem &mem)
     {
-        mc.mshrWaitQ_.push_back({CoreId(mc.numCores_ + 7), 0, false,
-                                 nullptr, 0});
-    }
-
-    /** Overfill one core's Prefetch Request Queue past its capacity. */
-    static void
-    mcOverfillPrefetchQueue(McMemorySystem &mc)
-    {
-        mc.perCore_[0].prefetchQueue.resize(
-            mc.params_.prefetchQueueCap + 1, 0);
+        mem.mshrWaitQ_.push_back({CoreId(mem.numCores_ + 7), 0, false,
+                                  nullptr});
     }
 
     /** Credit core 0 with a demand access the shared total never saw. */
     static void
-    mcBreakStatConservation(McMemorySystem &mc)
+    memorySystemBreakStatConservation(MemorySystem &mem)
     {
-        ++mc.perCore_[0].demandAccesses;
+        ++mem.perCore_[0].counters[MemorySystem::kDemandAccesses];
     }
 
     /** Overfill the demand bus queue past its capacity. */

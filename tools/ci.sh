@@ -4,7 +4,8 @@
 # Stages (run all by default, or select one with --stage so local runs
 # and the GitHub Actions jobs share this single entrypoint):
 #
-#   tier1   default (RelWithDebInfo) build + full ctest
+#   tier1   default (RelWithDebInfo) build + full ctest, plus a build
+#           of the repository benchmark (perfbench/) and its unit tests
 #   asan    ASan+UBSan build + full ctest with FDP_AUDIT=1, so every
 #           run also audits structural invariants at each sampling
 #           interval boundary
@@ -67,6 +68,17 @@ stage_tier1() {
     cmake -B "$ROOT/build-ci" -S "$ROOT" "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
     cmake --build "$ROOT/build-ci" -j "$JOBS"
     ctest --test-dir "$ROOT/build-ci" --output-on-failure -j "$JOBS"
+
+    echo "==== stage tier1: repository benchmark builds from the tree ===="
+    # perfbench/ compiles ../src unchanged and calls library APIs
+    # directly, so a library change that breaks it must fail here
+    # rather than in the next benchmark run. Bytecode stays out of the
+    # benchmark's directory.
+    cmake -S "$ROOT/perfbench" -B "$ROOT/build-ci/perfbench" \
+        "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
+    cmake --build "$ROOT/build-ci/perfbench" -j "$JOBS"
+    (cd "$ROOT" && PYTHONDONTWRITEBYTECODE=1 \
+        python3 -m unittest discover -s perfbench -p 'test_*.py')
 
     echo "==== stage tier1: trace record/verify/replay round trip ===="
     # Record swim through the live generator, prove the file passes a
