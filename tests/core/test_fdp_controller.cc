@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "core/fdp_controller.hh"
@@ -36,7 +37,13 @@ struct Table2Case
     bool late;
     bool polluting;
     Action want;
+    // gtest names each case by the raw bytes of this struct. This byte
+    // fills what would be padding, whose indeterminate value made the
+    // registered test names vary between builds and runs; each case
+    // keeps the value its name was first registered with.
+    std::uint8_t nameTag;
 };
+static_assert(sizeof(Table2Case) == 8, "nameTag must fill the padding");
 
 class Table2 : public ::testing::TestWithParam<Table2Case>
 {
@@ -56,18 +63,18 @@ INSTANTIATE_TEST_SUITE_P(
     AllCases, Table2,
     ::testing::Values(
         // case 1..12 in paper order
-        Table2Case{0, true, false, Action::Increment},
-        Table2Case{0, true, true, Action::Increment},
-        Table2Case{0, false, false, Action::NoChange},
-        Table2Case{0, false, true, Action::Decrement},
-        Table2Case{1, true, false, Action::Increment},
-        Table2Case{1, true, true, Action::Decrement},
-        Table2Case{1, false, false, Action::NoChange},
-        Table2Case{1, false, true, Action::Decrement},
-        Table2Case{2, true, false, Action::Decrement},
-        Table2Case{2, true, true, Action::Decrement},
-        Table2Case{2, false, false, Action::NoChange},
-        Table2Case{2, false, true, Action::Decrement}));
+        Table2Case{0, true, false, Action::Increment, 0xEF},
+        Table2Case{0, true, true, Action::Increment, 0xEF},
+        Table2Case{0, false, false, Action::NoChange, 0x00},
+        Table2Case{0, false, true, Action::Decrement, 0x00},
+        Table2Case{1, true, false, Action::Increment, 0x00},
+        Table2Case{1, true, true, Action::Decrement, 0x00},
+        Table2Case{1, false, false, Action::NoChange, 0x00},
+        Table2Case{1, false, true, Action::Decrement, 0xCA},
+        Table2Case{2, true, false, Action::Decrement, 0xCA},
+        Table2Case{2, true, true, Action::Decrement, 0xCA},
+        Table2Case{2, false, false, Action::NoChange, 0x00},
+        Table2Case{2, false, true, Action::Decrement, 0x00}));
 
 TEST(Table2Thresholds, BoundariesClassifyAsPaper)
 {
