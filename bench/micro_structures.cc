@@ -395,7 +395,8 @@ void
 BM_DramSchedulePick(benchmark::State &state)
 {
     // Steady-state FR-FCFS scheduling over a populated queue with the
-    // full comparator engaged: FDP tiers, weighted service, QoS caps.
+    // full comparator engaged: FDP tiers (Low ones shed at enqueue) and
+    // weighted service, which scans the whole queue on every grant.
     EventQueue events;
     StatGroup stats{"dram"};
     DramCtrlParams ctrl;
@@ -406,15 +407,19 @@ BM_DramSchedulePick(benchmark::State &state)
     static constexpr PrefetchTier kTiers[3] = {PrefetchTier::High,
                                                PrefetchTier::Medium,
                                                PrefetchTier::Low};
+    // Hold ~36 reads per channel, the mean queue a grant scans in situ
+    // on the saturated 8-core co-run: service the event queue only
+    // while more than that are resident.
+    const std::size_t resident = 36 * ctrl.channels;
     std::uint64_t i = 0;
     for (auto _ : state) {
         const BusPriority prio =
             i % 3 == 0 ? BusPriority::Demand : BusPriority::Prefetch;
         dram.enqueue((i * 37) % (1 << 20), prio, events.horizon(),
                      [](Cycle) {}, CoreId(i % 4), kTiers[i % 3]);
-        // Keep ~16 requests resident so every grant scans a real queue.
-        if (++i % 16 == 0)
-            events.serviceUntil(events.horizon() + 4000);
+        ++i;
+        while (dram.queued() > resident)
+            events.serviceUntil(events.horizon() + 32);
         benchmark::DoNotOptimize(dram.queued());
     }
 }

@@ -44,8 +44,16 @@ DramController::DramController(const DramParams &params,
         fatal("DRAM row size (%u blocks) must be a multiple of the "
               "channel count (%u) for XOR interleaving",
               params_.rowBlocks, ctrl_.channels);
+    if (params_.queueCapacity > kMaxReadSlots)
+        fatal("DRAM controller read queue capacity %zu exceeds %zu",
+              params_.queueCapacity, kMaxReadSlots);
     channels_.resize(ctrl_.channels);
     for (Channel &c : channels_) {
+        c.readQ.reserve(params_.queueCapacity);
+        c.readSlots.resize(params_.queueCapacity);
+        // Slot 0 on top: the first read of a channel takes slot 0.
+        for (std::size_t s = params_.queueCapacity; s > 0; --s)
+            c.freeSlots.push_back(static_cast<std::uint16_t>(s - 1));
         c.bankReady.assign(params_.banks, 0);
         c.openRow.assign(params_.banks, kNoRow);
     }
@@ -101,12 +109,21 @@ DramController::enqueue(BlockAddr block, BusPriority prio, Cycle now,
         ++corePrefQueued_[core.index()];
         break;
       case BusPriority::Writeback:
-        break;
+        c.wbQ.push_back({block, prio, tier, now, nextSeq_++, core,
+                         std::move(done)});
+        schedulePump(ch, now);
+        return true;
     }
-    std::deque<Request> &q =
-        prio == BusPriority::Writeback ? c.wbQ : c.readQ;
-    q.push_back({block, prio, tier, now, nextSeq_++, core,
-                 std::move(done)});
+    // The capacity checks above leave a free slot for every read.
+    ReadKey key;
+    decode(block, &key.bank, &key.row);
+    key.slot = c.freeSlots.back();
+    c.freeSlots.pop_back();
+    key.kind = kindOf(prio, tier);
+    key.core = core;
+    c.readSlots[key.slot] = {block, prio, tier, now, nextSeq_++, core,
+                             std::move(done)};
+    c.readQ.push_back(key);
     schedulePump(ch, now);
     return true;
 }
@@ -115,16 +132,22 @@ void
 DramController::promoteToDemand(BlockAddr block)
 {
     Channel &c = channels_[channelOf(block)];
-    auto it = std::find_if(c.readQ.begin(), c.readQ.end(),
-                           [block](const Request &r) {
-                               return r.block == block &&
-                                      r.prio == BusPriority::Prefetch;
-                           });
-    if (it == c.readQ.end())
-        return;  // already granted the bus; nothing to expedite
-    it->prio = BusPriority::Demand;
-    --corePrefQueued_[it->core.index()];
-    ++promotions_;
+    unsigned bank;
+    std::uint64_t row;
+    decode(block, &bank, &row);
+    for (ReadKey &key : c.readQ) {
+        if (key.row != row || key.bank != bank)
+            continue;
+        Request &r = c.readSlots[key.slot];
+        if (r.block != block || r.prio != BusPriority::Prefetch)
+            continue;
+        r.prio = BusPriority::Demand;
+        key.kind = ReadKind::DemandLike;
+        --corePrefQueued_[r.core.index()];
+        ++promotions_;
+        return;
+    }
+    // Not queued: already granted the bus, nothing to expedite.
 }
 
 std::size_t
@@ -174,54 +197,64 @@ DramController::resetAttribution()
         c.busyCycles = 0;
 }
 
-unsigned
-DramController::pickClass(const Channel &c, const Request &r) const
+DramController::ReadKind
+DramController::kindOf(BusPriority prio, PrefetchTier tier) const
 {
-    unsigned bank;
-    std::uint64_t row;
-    decode(r.block, &bank, &row);
-    const bool row_hit = c.openRow[bank] == row;
-    if (!ctrl_.fdpPriority)
-        return row_hit ? 0 : 1;  // accuracy-blind FR-FCFS: one class
-    if (r.prio == BusPriority::Demand)
-        return row_hit ? 0 : 1;
+    // Accuracy-blind FR-FCFS: demands and prefetches are one class.
+    if (!ctrl_.fdpPriority || prio == BusPriority::Demand)
+        return ReadKind::DemandLike;
     // A prefetch demoted below every queued demand starves outright on
     // a saturated bus, and a starved stream's accuracy collapses to
     // zero — a demotion death spiral. So only the low-accuracy tier
     // runs strictly behind demands (and is shed at enqueue): High is
     // scheduled exactly like a demand, and Medium only yields its
     // row-buffer misses.
-    switch (r.tier) {
+    switch (tier) {
       case PrefetchTier::High:
-        return row_hit ? 0 : 1;  // demand-equivalent
+        return ReadKind::DemandLike;
       case PrefetchTier::Medium:
-        return row_hit ? 0 : 2;
+        return ReadKind::Medium;
       case PrefetchTier::Low:
         break;
     }
-    return row_hit ? 3 : 4;
+    return ReadKind::Low;
 }
 
 std::size_t
-DramController::pickRead(const Channel &c) const
+DramController::pickRead(const Channel &c, unsigned *cls) const
 {
     std::size_t best = kNoPick;
-    unsigned best_class = 0;
-    std::uint64_t best_served = 0;
-    for (std::size_t i = 0; i < c.readQ.size(); ++i) {
-        const Request &r = c.readQ[i];
-        const unsigned cls = pickClass(c, r);
+    unsigned best_class = kNoClass;
+    const std::size_t n = c.readQ.size();
+    if (!ctrl_.qosWeighted) {
+        // Oldest of the best class. Nothing beats the first class-0
+        // read, so the scan stops there.
+        for (std::size_t i = 0; i < n; ++i) {
+            const unsigned k = readClass(c, c.readQ[i]);
+            if (k < best_class) {
+                best = i;
+                best_class = k;
+                if (k == 0)
+                    break;
+            }
+        }
+    } else {
         // Weighted service: among equal-class candidates the core with
         // the least read grants wins; age (queue order) breaks ties.
-        const std::uint64_t served =
-            ctrl_.qosWeighted ? coreServed_[r.core.index()] : 0;
-        if (best == kNoPick || cls < best_class ||
-            (cls == best_class && served < best_served)) {
-            best = i;
-            best_class = cls;
-            best_served = served;
+        std::uint64_t best_served = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const ReadKey &key = c.readQ[i];
+            const unsigned k = readClass(c, key);
+            const std::uint64_t served = coreServed_[key.core.index()];
+            if (k < best_class ||
+                (k == best_class && served < best_served)) {
+                best = i;
+                best_class = k;
+                best_served = served;
+            }
         }
     }
+    *cls = best_class;
     return best;
 }
 
@@ -241,35 +274,40 @@ DramController::pump(unsigned ch)
     Channel &c = channels_[ch];
     c.pumpScheduled = false;
 
-    const std::size_t read = pickRead(c);
+    unsigned read_class;
+    const std::size_t read = pickRead(c, &read_class);
+    // Writebacks run behind reads, except past the high-water backlog,
+    // where they pre-empt prefetches (never a demand or a head-class
+    // row hit).
+    bool grant_read;
+    if (read != kNoPick)
+        grant_read =
+            read_class == 0 ||
+            c.wbQ.size() <= params_.writebackHighWater ||
+            c.readSlots[c.readQ[read].slot].prio == BusPriority::Demand;
+    else if (!c.wbQ.empty())
+        grant_read = false;
+    else
+        return;
+
     Request req;
-    if (read != kNoPick &&
-        (c.readQ[read].prio == BusPriority::Demand ||
-         pickClass(c, c.readQ[read]) == 0 ||
-         c.wbQ.size() <= params_.writebackHighWater)) {
-        req = std::move(c.readQ[read]);
+    unsigned bank;
+    std::uint64_t row;
+    if (grant_read) {
+        const ReadKey key = c.readQ[read];
         c.readQ.erase(c.readQ.begin() +
                       static_cast<std::ptrdiff_t>(read));
-    } else if (!c.wbQ.empty() &&
-               (read == kNoPick ||
-                c.wbQ.size() > params_.writebackHighWater)) {
-        // Writebacks run behind reads, except past the high-water
-        // backlog, where they pre-empt prefetches (never a demand or a
-        // head-class row hit; see above).
+        req = std::move(c.readSlots[key.slot]);
+        c.freeSlots.push_back(key.slot);
+        bank = key.bank;
+        row = key.row;
+    } else {
         req = std::move(c.wbQ.front());
         c.wbQ.pop_front();
-    } else if (read != kNoPick) {
-        req = std::move(c.readQ[read]);
-        c.readQ.erase(c.readQ.begin() +
-                      static_cast<std::ptrdiff_t>(read));
-    } else {
-        return;
+        decode(req.block, &bank, &row);
     }
 
     const Cycle now = events_.horizon();
-    unsigned bank;
-    std::uint64_t row;
-    decode(req.block, &bank, &row);
 
     const bool row_hit = c.openRow[bank] == row;
     const bool row_empty = !row_hit && c.openRow[bank] == kNoRow;
@@ -481,8 +519,54 @@ DramController::audit() const
             if (r.prio == BusPriority::Prefetch)
                 ++pref_queued[r.core.index()];
         };
-        for (const Request &r : c.readQ)
+
+        // The slot pool: every queued key owns a distinct slot, and the
+        // free stack holds exactly the rest.
+        FDP_ASSERT(c.readSlots.size() == params_.queueCapacity,
+                   "%s: channel %zu pool holds %zu slots for capacity %zu",
+                   auditName(), ch, c.readSlots.size(),
+                   params_.queueCapacity);
+        std::vector<bool> owned(c.readSlots.size(), false);
+        const auto claimSlot = [&](std::uint16_t slot, const char *by) {
+            FDP_ASSERT(slot < owned.size() && !owned[slot],
+                       "%s: channel %zu slot %u claimed twice or out of "
+                       "range (by a %s)",
+                       auditName(), ch, static_cast<unsigned>(slot), by);
+            owned[slot] = true;
+        };
+        for (const ReadKey &key : c.readQ) {
+            claimSlot(key.slot, "queued read");
+            const Request &r = c.readSlots[key.slot];
             auditRequest(r, false);
+            unsigned bank;
+            std::uint64_t row;
+            decode(r.block, &bank, &row);
+            FDP_ASSERT(key.bank == bank && key.row == row,
+                       "%s: stale decode: block %llu keyed to bank %u "
+                       "row %llu but decodes to bank %u row %llu",
+                       auditName(),
+                       static_cast<unsigned long long>(r.block), key.bank,
+                       static_cast<unsigned long long>(key.row), bank,
+                       static_cast<unsigned long long>(row));
+            FDP_ASSERT(key.kind == kindOf(r.prio, r.tier) &&
+                           key.core == r.core,
+                       "%s: block %llu keyed as kind %u core %u but its "
+                       "payload gives kind %u core %u",
+                       auditName(),
+                       static_cast<unsigned long long>(r.block),
+                       static_cast<unsigned>(key.kind),
+                       key.core.index(),
+                       static_cast<unsigned>(kindOf(r.prio, r.tier)),
+                       r.core.index());
+        }
+        for (const std::uint16_t slot : c.freeSlots)
+            claimSlot(slot, "free-stack entry");
+        FDP_ASSERT(c.freeSlots.size() + c.readQ.size() ==
+                       c.readSlots.size(),
+                   "%s: channel %zu leaked slots: %zu free + %zu queued "
+                   "of %zu",
+                   auditName(), ch, c.freeSlots.size(), c.readQ.size(),
+                   c.readSlots.size());
         have_seq = false;
         for (const Request &r : c.wbQ)
             auditRequest(r, true);

@@ -8,8 +8,11 @@
  *    one channel remap on the next, each channel owning its banks,
  *    request queues, and data bus;
  *  - FR-FCFS scheduling per channel: row-buffer hits first, oldest
- *    first within a class, with the flat model's writeback high-water
- *    starvation bound;
+ *    first within a class. Writebacks drain behind reads; past the
+ *    writeback high-water mark they pre-empt prefetches, but never a
+ *    demand or a head-class row hit, so a saturated read stream can
+ *    grow the write queue without bound (it is not a starvation
+ *    bound on writebacks);
  *  - row-policy knobs: open (leave rows open), closed (auto-precharge
  *    after every access), adaptive (precharge after a conflict, stay
  *    open after hits);
@@ -30,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "dram/dram_backend.hh"
@@ -95,11 +99,14 @@ class DramController : public DramBackend
      * request sits on the channel its block routes to, in the queue
      * matching its priority, with a completion callback iff it is not
      * a writeback, a valid core id, and arrival sequence numbers
-     * strictly increasing in queue order; a pump event is scheduled on
-     * every channel with queued work; the per-core bus accesses sum to
-     * the shared total; the per-channel measured bus occupancies sum to
-     * the registered statistic; and the per-core queued-prefetch
-     * counters match a recount of the queues.
+     * strictly increasing in queue order; each read key caches its
+     * block's decoded bank and row, its payload's core, and the kind
+     * its payload's priority and tier give, and owns a distinct slot,
+     * with the free slots making up the rest of the pool; a pump event
+     * is scheduled on every channel with queued work; the per-core bus
+     * accesses sum to the shared total; the per-channel measured bus
+     * occupancies sum to the registered statistic; and the per-core
+     * queued-prefetch counters match a recount of the queues.
      */
     void audit() const override;
     const char *auditName() const override { return "dram_controller"; }
@@ -122,7 +129,28 @@ class DramController : public DramBackend
     /** An open-row register holding no row (precharged bank). */
     static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
     static constexpr std::size_t kNoPick = ~std::size_t{0};
+    /** Ranks below every FR-FCFS class (see kReadClass). */
+    static constexpr unsigned kNoClass = 5;
+    /** Read slots per channel a ReadKey::slot can name. */
+    static constexpr std::size_t kMaxReadSlots = std::size_t{1} << 16;
 
+    /**
+     * How a queued read competes for its channel, fixed at enqueue and
+     * raised by promoteToDemand(). DemandLike is every demand, every
+     * High-tier prefetch, and every prefetch when fdpPriority is off.
+     */
+    enum class ReadKind : std::uint8_t { DemandLike, Medium, Low };
+
+    /**
+     * FR-FCFS class of a queued read, indexed by [kind][row hit];
+     * lower wins. 0 is the head class (row hits from demands, High, and
+     * Medium prefetches), 1 is demand and High misses, then Medium
+     * misses, then the Low tier.
+     */
+    static constexpr std::uint8_t kReadClass[3][2] = {
+        {1, 0}, {2, 0}, {4, 3}};
+
+    /** A writeback, or the payload of a queued read. */
     struct Request
     {
         BlockAddr block = 0;
@@ -135,9 +163,32 @@ class DramController : public DramBackend
         DoneFn done;
     };
 
+    /**
+     * A queued read as the scheduler scans it: its bank and row,
+     * decoded once at enqueue, its kind and core, and the pool slot
+     * holding the rest of the request. Trivially copyable, so a grant
+     * erases it from the middle of the queue with a small memmove.
+     */
+    struct ReadKey
+    {
+        std::uint64_t row = 0;
+        unsigned bank = 0;
+        std::uint16_t slot = 0;
+        ReadKind kind = ReadKind::DemandLike;
+        CoreId core;
+    };
+    static_assert(std::is_trivially_copyable_v<ReadKey> &&
+                      sizeof(ReadKey) == 16,
+                  "a grant's erase should move small, plain keys");
+
     struct Channel
     {
-        std::deque<Request> readQ;  ///< demands + prefetches (FR-FCFS)
+        /** Queued demands + prefetches, in arrival order (FR-FCFS). */
+        std::vector<ReadKey> readQ;
+        /** queueCapacity read payloads; each queued key owns one. */
+        std::vector<Request> readSlots;
+        /** Slots no queued key owns (a stack; top = next allocated). */
+        std::vector<std::uint16_t> freeSlots;
         std::deque<Request> wbQ;
         std::vector<Cycle> bankReady;
         std::vector<std::uint64_t> openRow;
@@ -151,16 +202,22 @@ class DramController : public DramBackend
     void decode(BlockAddr block, unsigned *bank,
                 std::uint64_t *row) const;
 
-    /**
-     * Scheduling rank of a queued read given the bank's current open
-     * row; lower wins. 0 is the FR-FCFS head class (row hits from
-     * demands, High, and Medium prefetches), 1 is demand and High
-     * misses, then Medium misses, then the Low tier.
-     */
-    unsigned pickClass(const Channel &c, const Request &r) const;
+    /** Scheduling kind of a read with priority @p prio and @p tier. */
+    ReadKind kindOf(BusPriority prio, PrefetchTier tier) const;
 
-    /** Index of the best read in @p c's queue, or kNoPick. */
-    std::size_t pickRead(const Channel &c) const;
+    /** FR-FCFS class of @p key given its bank's current open row. */
+    static unsigned
+    readClass(const Channel &c, const ReadKey &key)
+    {
+        return kReadClass[static_cast<unsigned>(key.kind)]
+                         [c.openRow[key.bank] == key.row];
+    }
+
+    /**
+     * Index of the best read in @p c's queue, or kNoPick; its class is
+     * stored to @p cls.
+     */
+    std::size_t pickRead(const Channel &c, unsigned *cls) const;
 
     void schedulePump(unsigned ch, Cycle now);
     void pump(unsigned ch);
@@ -170,7 +227,6 @@ class DramController : public DramBackend
     EventQueue &events_;
     Cycle transferCycles_;
 
-    /** deque: Channel is non-relocatable (queued DoneFn closures). */
     std::deque<Channel> channels_;
     /** Bus accesses attributed to each requesting core. */
     std::vector<std::uint64_t> coreBusAccesses_;

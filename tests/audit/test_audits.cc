@@ -223,6 +223,20 @@ TEST(DramCtrlAuditDeathTest, MisroutedRequestCaught)
     EXPECT_DEATH(d.dram.audit(), "routes");
 }
 
+TEST(DramCtrlAuditDeathTest, StaleDecodeCaught)
+{
+    DramCtrlUnderAudit d;
+    AuditCorrupter::dramCtrlStaleDecode(d.dram);
+    EXPECT_DEATH(d.dram.audit(), "stale decode");
+}
+
+TEST(DramCtrlAuditDeathTest, LeakedSlotCaught)
+{
+    DramCtrlUnderAudit d;
+    AuditCorrupter::dramCtrlLeakSlot(d.dram);
+    EXPECT_DEATH(d.dram.audit(), "leaked slots");
+}
+
 TEST(DramCtrlAuditDeathTest, CoreAttributionDesyncCaught)
 {
     DramCtrlUnderAudit d;

@@ -312,17 +312,36 @@ struct AuditCorrupter
         ++dram.channels_[0].busyCycles;
     }
 
-    /** Move a queued request onto a channel its block misroutes. */
+    /** First channel with a queued read. */
+    static DramController::Channel &
+    dramCtrlBusyChannel(DramController &dram)
+    {
+        for (auto &c : dram.channels_)
+            if (!c.readQ.empty())
+                return c;
+        panic("corrupter: controller read queues are empty");
+    }
+
+    /** Move a queued read onto a channel its block misroutes. */
     static void
     dramCtrlMisrouteRequest(DramController &dram)
     {
-        for (auto &c : dram.channels_) {
-            if (c.readQ.empty())
-                continue;
-            ++c.readQ.front().block;
-            return;
-        }
-        panic("corrupter: controller read queues are empty");
+        auto &c = dramCtrlBusyChannel(dram);
+        ++c.readSlots[c.readQ.front().slot].block;
+    }
+
+    /** Leave a queued read keyed to a row its block does not decode to. */
+    static void
+    dramCtrlStaleDecode(DramController &dram)
+    {
+        ++dramCtrlBusyChannel(dram).readQ.front().row;
+    }
+
+    /** Take a slot off channel 0's free stack without queueing a read. */
+    static void
+    dramCtrlLeakSlot(DramController &dram)
+    {
+        dram.channels_[0].freeSlots.pop_back();
     }
 
     /** Credit core 0 with a bus access the shared total never saw. */

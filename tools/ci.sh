@@ -170,18 +170,37 @@ stage_tier1() {
     echo "==== stage tier1: FR-FCFS 8-core determinism smoke ===="
     # The FR-FCFS memory controller schedules per channel off the FDP
     # accuracy tiers; an 8-core co-run through it (plus its alone
-    # baselines) must stay bit-identical across worker counts.
+    # baselines) must stay bit-identical across worker counts. The
+    # --jobs 1 runs also audit the whole machine (read keys and slot
+    # pool included) at every sampling interval and at the end of each
+    # run, which must not perturb them. The second pair takes the
+    # weighted-service scan, which has no early exit, under the
+    # adaptive row policy and a QoS cap, long enough for the co-run to
+    # close sampling intervals with its queues full.
     local ddir="$ROOT/build-ci/dram-smoke"
     rm -rf "$ddir" && mkdir -p "$ddir"
-    "$ROOT/build-ci/bench/fdp_sim" --mix mix8-bw --dram controller \
-        --channels 4 --insts 50000 --jobs 1 --out "$ddir/jobs1.json" \
-        > "$ddir/jobs1.out" 2> /dev/null
-    "$ROOT/build-ci/bench/fdp_sim" --mix mix8-bw --dram controller \
-        --channels 4 --insts 50000 --jobs 4 --out "$ddir/jobs4.json" \
-        > "$ddir/jobs4.out" 2> /dev/null
-    diff "$ddir/jobs1.out" "$ddir/jobs4.out"
-    diff "$ddir/jobs1.json" "$ddir/jobs4.json"
-    echo "dram smoke: FR-FCFS 8-core co-run bit-identical across --jobs 1/4"
+    local tag insts knobs
+    for tag in default weighted; do
+        if [ "$tag" = weighted ]; then
+            insts=400000
+            knobs=(--qos cap:8+weighted --row-policy adaptive)
+        else
+            insts=50000
+            knobs=(--channels 4)
+        fi
+        FDP_AUDIT=1 "$ROOT/build-ci/bench/fdp_sim" --mix mix8-bw \
+            --dram controller "${knobs[@]}" --insts "$insts" --jobs 1 \
+            --out "$ddir/$tag-jobs1.json" > "$ddir/$tag-jobs1.out" \
+            2> /dev/null
+        "$ROOT/build-ci/bench/fdp_sim" --mix mix8-bw \
+            --dram controller "${knobs[@]}" --insts "$insts" --jobs 4 \
+            --out "$ddir/$tag-jobs4.json" > "$ddir/$tag-jobs4.out" \
+            2> /dev/null
+        diff "$ddir/$tag-jobs1.out" "$ddir/$tag-jobs4.out"
+        diff "$ddir/$tag-jobs1.json" "$ddir/$tag-jobs4.json"
+    done
+    echo "dram smoke: FR-FCFS 8-core co-runs bit-identical across" \
+        "--jobs 1/4 (audited at --jobs 1)"
 }
 
 stage_asan() {
