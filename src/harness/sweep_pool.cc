@@ -153,6 +153,28 @@ SweepPool::workerLoop()
     }
 }
 
+void
+runPoolJobs(unsigned threads, std::vector<std::function<void()>> jobs)
+{
+    // A worker fatal is deferred (FatalThrowsGuard) and re-raised here
+    // on the calling thread, once the pool has left scope.
+    std::string workerFatal;
+    bool sawWorkerFatal = false;
+    {
+        SweepPool pool(threads);
+        for (std::function<void()> &job : jobs)
+            pool.submit(std::move(job));
+        try {
+            pool.wait();
+        } catch (const FatalError &e) {
+            sawWorkerFatal = true;
+            workerFatal = e.what();
+        }
+    }
+    if (sawWorkerFatal)
+        fatal("%s", workerFatal.c_str());
+}
+
 std::vector<std::vector<RunResult>>
 runSweep(const std::vector<std::string> &benchmarks,
          const std::vector<LabeledConfig> &configs, unsigned jobs)
@@ -160,9 +182,8 @@ runSweep(const std::vector<std::string> &benchmarks,
     if (jobs == 0)
         jobs = defaultSweepJobs();
     const std::size_t cells = benchmarks.size() * configs.size();
-    // Clamp before branching so the throughput line reports the worker
-    // count that actually ran: never more than one per cell, and the
-    // cells <= 1 fallback below is single-threaded by construction.
+    // Clamp so the throughput line reports the worker count that
+    // actually ran: never more than one per cell.
     if (static_cast<std::size_t>(jobs) > cells)
         jobs = cells == 0 ? 1 : static_cast<unsigned>(cells);
     // A bad benchmark name is a user error: report it from the main
@@ -264,79 +285,40 @@ runSweep(const std::vector<std::string> &benchmarks,
             cellImage[cell] = it->second;
         }
     }
-    const auto runCell = [&](std::size_t cell, const std::string &bench,
-                             const LabeledConfig &cfg) {
-        return cellImage[cell]
-                   ? runBenchmarkFromSnapshot(*cellImage[cell], cfg.second,
-                                              cfg.first)
-                   : runBenchmark(bench, cfg.second, cfg.first);
-    };
-
-    if (jobs == 1) {
-        // The pre-pool sequential path, byte for byte.
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-                const std::size_t cell = c * benchmarks.size() + b;
-                if (isCached(cell))
-                    continue;
-                results[c][b] = runCell(cell, benchmarks[b], configs[c]);
-                if (store)
-                    store->insert(keys[cell], results[c][b]);
-            }
-        }
-    } else {
-        // A worker fatal is deferred (FatalThrowsGuard) and re-raised
-        // here on the main thread — but only after the pool has left
-        // scope and joined every worker, so the exit cannot race them.
-        std::string workerFatal;
-        bool sawWorkerFatal = false;
-        // LPT scheduling: submit the longest cells (most simulated
-        // instructions) first so the pool tail does not idle behind one
-        // long run picked up last. Ties keep the c-major submission
-        // order, and every result still lands in its pre-sized slot, so
-        // the output tables are unaffected by the ordering.
-        std::vector<std::size_t> order;
-        order.reserve(cells);
-        for (std::size_t i = 0; i < cells; ++i)
-            if (!isCached(i))
-                order.push_back(i);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t lhs, std::size_t rhs) {
-                             const std::uint64_t li =
-                                 configs[lhs / benchmarks.size()]
-                                     .second.numInsts;
-                             const std::uint64_t ri =
-                                 configs[rhs / benchmarks.size()]
-                                     .second.numInsts;
-                             return li > ri;
-                         });
-        {
-            SweepPool pool(jobs);
-            for (const std::size_t cell : order) {
-                const std::size_t c = cell / benchmarks.size();
-                const std::size_t b = cell % benchmarks.size();
-                RunResult *slot = &results[c][b];
-                const std::string *bench = &benchmarks[b];
-                const LabeledConfig *cfg = &configs[c];
-                const ResultStore *cellStore = store.get();
-                const StoreKey *key = cellStore ? &keys[cell] : nullptr;
-                pool.submit([&runCell, cell, slot, bench, cfg, cellStore,
-                             key] {
-                    *slot = runCell(cell, *bench, *cfg);
-                    if (cellStore)
-                        cellStore->insert(*key, *slot);
-                });
-            }
-            try {
-                pool.wait();
-            } catch (const FatalError &e) {
-                sawWorkerFatal = true;
-                workerFatal = e.what();
-            }
-        }
-        if (sawWorkerFatal)
-            fatal("%s", workerFatal.c_str());
-    }
+    // LPT scheduling: submit the longest cells (most simulated
+    // instructions) first so the pool tail does not idle behind one
+    // long run picked up last. Ties keep the c-major submission order,
+    // and every result still lands in its pre-sized slot, so the output
+    // tables are unaffected by the ordering.
+    std::vector<std::size_t> order;
+    order.reserve(cells);
+    for (std::size_t i = 0; i < cells; ++i)
+        if (!isCached(i))
+            order.push_back(i);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t lhs, std::size_t rhs) {
+                         const std::uint64_t li =
+                             configs[lhs / benchmarks.size()].second.numInsts;
+                         const std::uint64_t ri =
+                             configs[rhs / benchmarks.size()].second.numInsts;
+                         return li > ri;
+                     });
+    // Each job writes only its own result slot and store entry.
+    std::vector<std::function<void()>> work;
+    for (const std::size_t cell : order)
+        work.push_back([&, cell] {
+            const std::size_t c = cell / benchmarks.size();
+            const std::size_t b = cell % benchmarks.size();
+            const LabeledConfig &cfg = configs[c];
+            results[c][b] =
+                cellImage[cell]
+                    ? runBenchmarkFromSnapshot(*cellImage[cell], cfg.second,
+                                               cfg.first)
+                    : runBenchmark(benchmarks[b], cfg.second, cfg.first);
+            if (store)
+                store->insert(keys[cell], results[c][b]);
+        });
+    runPoolJobs(jobs, std::move(work));
 
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;

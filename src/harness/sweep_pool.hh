@@ -12,7 +12,7 @@
  * regardless of thread count or completion order.
  *
  * This is the only file in src/ or tools/ allowed to touch std::thread
- * (enforced by tools/fdp_lint.py rule pool-only-threading).
+ * (enforced by fdp_analyze rule pool-only-threading).
  */
 
 #ifndef FDP_HARNESS_SWEEP_POOL_HH
@@ -83,6 +83,14 @@ class SweepPool
     std::exception_ptr firstError_;
 };
 
+/**
+ * Run every job on a SweepPool of @p threads workers and wait for all
+ * of them. A fatal() inside a job is re-raised here, on the calling
+ * thread, only after every worker has joined, so the exit cannot race
+ * them. The one pool path of runSweep and runMixSweep.
+ */
+void runPoolJobs(unsigned threads, std::vector<std::function<void()>> jobs);
+
 /** One labeled configuration column of a sweep. */
 using LabeledConfig = std::pair<std::string, RunConfig>;
 
@@ -122,8 +130,8 @@ SweepStoreConfig configureSweepStore(int argc, char **argv);
 
 /**
  * Run every (benchmark, config) cell of a sweep, fanning the cells out
- * over @p jobs worker threads (0 = defaultSweepJobs(); 1 = the plain
- * sequential path with no threads created). results[c][b] is benchmark
+ * over @p jobs worker threads (0 = defaultSweepJobs(); 1 = one worker
+ * running the cells in turn). results[c][b] is benchmark
  * b under configs[c], in the argument order, regardless of completion
  * order. Cells are handed to the pool longest-first (LPT by the
  * config's instruction count) so a long run picked up last cannot

@@ -131,50 +131,27 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
     for (std::size_t c = 0; c < configs.size(); ++c)
         alone[c].resize(keys[c].size());
 
-    const auto corunCell = [&mix, &configs, &results](std::size_t c) {
-        results[c] = runMix(mix, configs[c].config, configs[c].label);
-    };
-    const auto aloneCell = [&mix, &configs, &alone, &dup, &exemplar,
-                            &sel](std::size_t c, std::size_t k) {
-        const unsigned coreIdx = exemplar[c][k];
-        const auto workload =
-            buildAloneWorkload(mix.entries[coreIdx], dup[coreIdx]);
-        RunConfig rc = configs[c].config.base;
-        if (!sel[c].empty())
-            rc = applyPrefetcherSelection(rc, sel[c][coreIdx]);
-        alone[c][k] =
-            runWorkload(*workload, rc, configs[c].label + "-alone");
-    };
-
-    if (jobs == 1) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            corunCell(c);
-            for (std::size_t k = 0; k < keys[c].size(); ++k)
-                aloneCell(c, k);
-        }
-    } else {
-        // Each result lands in its pre-sized slot, so completion order
-        // never affects the output. Co-runs (roughly N single-core
-        // runs' worth of work each) are submitted first, LPT-style.
-        std::string workerFatal;
-        bool sawWorkerFatal = false;
-        {
-            SweepPool pool(jobs);
-            for (std::size_t c = 0; c < configs.size(); ++c)
-                pool.submit([&corunCell, c] { corunCell(c); });
-            for (std::size_t c = 0; c < configs.size(); ++c)
-                for (std::size_t k = 0; k < keys[c].size(); ++k)
-                    pool.submit([&aloneCell, c, k] { aloneCell(c, k); });
-            try {
-                pool.wait();
-            } catch (const FatalError &e) {
-                sawWorkerFatal = true;
-                workerFatal = e.what();
-            }
-        }
-        if (sawWorkerFatal)
-            fatal("%s", workerFatal.c_str());
-    }
+    // Each result lands in its pre-sized slot, so completion order
+    // never affects the output. Co-runs (roughly N single-core runs'
+    // worth of work each) are submitted first, LPT-style.
+    std::vector<std::function<void()>> work;
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        work.push_back([&, c] {
+            results[c] = runMix(mix, configs[c].config, configs[c].label);
+        });
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        for (std::size_t k = 0; k < keys[c].size(); ++k)
+            work.push_back([&, c, k] {
+                const unsigned coreIdx = exemplar[c][k];
+                const auto workload =
+                    buildAloneWorkload(mix.entries[coreIdx], dup[coreIdx]);
+                RunConfig rc = configs[c].config.base;
+                if (!sel[c].empty())
+                    rc = applyPrefetcherSelection(rc, sel[c][coreIdx]);
+                alone[c][k] =
+                    runWorkload(*workload, rc, configs[c].label + "-alone");
+            });
+    runPoolJobs(jobs, std::move(work));
 
     for (std::size_t c = 0; c < configs.size(); ++c) {
         std::vector<double> aloneIpc(n, 0.0);
@@ -243,11 +220,18 @@ void
 addMcRunResult(ResultsJson &json, const McRunResult &r)
 {
     const std::string base = r.mix + "/" + r.config;
-    json.add(base + "/weighted_speedup", "ratio", r.weightedSpeedup,
-             "higher");
-    json.add(base + "/harmonic_speedup", "ratio", r.harmonicSpeedup,
-             "higher");
-    json.add(base + "/fairness", "ratio", r.fairness, "higher");
+    // Speedups are relative to alone baselines; a bare runMix result has
+    // none, and a 0 there would read as a measured value.
+    const bool hasBaselines =
+        std::all_of(r.cores.begin(), r.cores.end(),
+                    [](const McCoreResult &c) { return c.aloneIpc > 0; });
+    if (hasBaselines) {
+        json.add(base + "/weighted_speedup", "ratio", r.weightedSpeedup,
+                 "higher");
+        json.add(base + "/harmonic_speedup", "ratio", r.harmonicSpeedup,
+                 "higher");
+        json.add(base + "/fairness", "ratio", r.fairness, "higher");
+    }
     json.add(base + "/throughput", "insts/cycle", r.throughput, "higher");
     json.add(base + "/bus_accesses", "count",
              static_cast<double>(r.busAccesses), "lower");
@@ -256,7 +240,8 @@ addMcRunResult(ResultsJson &json, const McRunResult &r)
         const std::string p =
             base + "/c" + std::to_string(i) + "/" + c.program;
         json.add(p + "/ipc", "insts/cycle", c.ipc, "higher");
-        json.add(p + "/speedup", "ratio", c.speedup, "higher");
+        if (hasBaselines)
+            json.add(p + "/speedup", "ratio", c.speedup, "higher");
         json.add(p + "/bpki", "bus-accesses/kilo-inst", c.bpki, "lower");
         json.add(p + "/accuracy", "ratio", c.accuracy, "higher");
         json.add(p + "/lateness", "ratio", c.lateness, "lower");

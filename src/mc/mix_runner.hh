@@ -38,7 +38,7 @@ struct McLabeledConfig
  * configuration, on an idle machine), and finalize the speedup
  * metrics. results[c] is @p configs[c]'s co-run, in argument order.
  * Cells fan out over @p jobs worker threads (0 = defaultSweepJobs(),
- * 1 = fully sequential).
+ * 1 = one worker running the cells in turn).
  */
 std::vector<McRunResult> runMixSweep(const MixSpec &mix,
                                      const std::vector<McLabeledConfig> &configs,
@@ -57,7 +57,12 @@ Table buildMixCoreTable(const std::vector<McRunResult> &results);
  */
 Table buildMixSummaryTable(const std::vector<McRunResult> &results);
 
-/** Append every metric of one co-run to an fdp-results-v1 document. */
+/**
+ * Append every metric of one co-run to an fdp-results-v1 document.
+ * The speedup and fairness keys are emitted only when every core has
+ * an alone baseline (aloneIpc > 0), as runMixSweep results do; a bare
+ * runMix result carries none.
+ */
 void addMcRunResult(ResultsJson &json, const McRunResult &r);
 
 } // namespace fdp

@@ -47,7 +47,7 @@ TEST(Checks, UnorderedIterationFiresButDeclarationAloneDoesNot)
 TEST(Checks, CatalogRulesAreUniqueAndNamed)
 {
     const std::vector<CheckInfo> &cat = checkCatalog();
-    ASSERT_GE(cat.size(), 14u);
+    ASSERT_GE(cat.size(), 17u);
     for (std::size_t i = 0; i < cat.size(); ++i)
         for (std::size_t j = i + 1; j < cat.size(); ++j)
             EXPECT_STRNE(cat[i].rule, cat[j].rule);
@@ -239,6 +239,46 @@ TEST(Checks, RngEnginesAndLegacyCallsFire)
                     "class Rng { std::mt19937 gen_; };\n#endif\n"),
                "rng-only")
             .empty());
+}
+
+TEST(Checks, LoggingOnlyFlagsPrintfFamilyCallsInSrc)
+{
+    EXPECT_EQ(firing(tree("src/mem/a.hh",
+                          "inline void f() { std::printf(\"%d\", 1);\n"
+                          "  puts(\"x\"); fputs(\"y\", stderr); }\n"),
+                     "logging-only")
+                  .size(),
+              3u);
+    // A name alone is not a call; prose in comments and literals is not
+    // code.
+    SourceTree t = tree("src/mem/a.cc",
+                        "auto *p = &std::printf; // printf(\"x\")\n"
+                        "/* fprintf(stderr, \"y\"); */\n"
+                        "const char *s = \"printf(\\\"in a string\\\")\";\n"
+                        "const char *r = R\"(a \" puts(\" raw string)\";\n");
+    EXPECT_TRUE(firing(t, "logging-only").empty());
+}
+
+TEST(Checks, LoggingOnlySanctionsTheSinksAndSkipsTools)
+{
+    const std::string call = "void f() { std::fprintf(stderr, \"x\"); }\n";
+    for (const char *path : {"src/sim/logging.hh", "src/sim/logging.cc",
+                             "src/sim/table.cc", "tools/fdp_sim.cc"})
+        EXPECT_TRUE(firing(tree(path, call), "logging-only").empty()) << path;
+}
+
+TEST(Checks, TestPairingWantsATestFilePerTranslationUnit)
+{
+    SourceTree t = tree("src/mem/cache.cc", "int x;\n");
+    const std::vector<Finding> hits = firing(t, "test-pairing");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].message, "no test file tests/mem/test_cache.cc");
+    t.testFiles.insert("tests/mem/test_cache.cc");
+    EXPECT_TRUE(firing(t, "test-pairing").empty());
+    // Header-only code needs no pair, and tools/ is not paired.
+    for (const char *path : {"src/mem/a.hh", "tools/a.cc"})
+        EXPECT_TRUE(firing(tree(path, "int x;\n"), "test-pairing").empty())
+            << path;
 }
 
 } // namespace

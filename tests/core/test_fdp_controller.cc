@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "core/fdp_controller.hh"
@@ -37,13 +39,17 @@ struct Table2Case
     bool late;
     bool polluting;
     Action want;
-    // gtest names each case by the raw bytes of this struct. This byte
-    // fills what would be padding, whose indeterminate value made the
-    // registered test names vary between builds and runs; each case
-    // keeps the value its name was first registered with.
-    std::uint8_t nameTag;
 };
-static_assert(sizeof(Table2Case) == 8, "nameTag must fill the padding");
+
+// Prints the inputs, e.g. "high_late_nopoll". gtest would otherwise
+// print the struct's raw bytes, padding included, into the test names.
+void
+PrintTo(const Table2Case &c, std::ostream *os)
+{
+    static const char *const acc[] = {"high", "medium", "low"};
+    *os << acc[c.acc] << (c.late ? "_late" : "_nolate")
+        << (c.polluting ? "_poll" : "_nopoll");
+}
 
 class Table2 : public ::testing::TestWithParam<Table2Case>
 {
@@ -63,18 +69,24 @@ INSTANTIATE_TEST_SUITE_P(
     AllCases, Table2,
     ::testing::Values(
         // case 1..12 in paper order
-        Table2Case{0, true, false, Action::Increment, 0xEF},
-        Table2Case{0, true, true, Action::Increment, 0xEF},
-        Table2Case{0, false, false, Action::NoChange, 0x00},
-        Table2Case{0, false, true, Action::Decrement, 0x00},
-        Table2Case{1, true, false, Action::Increment, 0x00},
-        Table2Case{1, true, true, Action::Decrement, 0x00},
-        Table2Case{1, false, false, Action::NoChange, 0x00},
-        Table2Case{1, false, true, Action::Decrement, 0xCA},
-        Table2Case{2, true, false, Action::Decrement, 0xCA},
-        Table2Case{2, true, true, Action::Decrement, 0xCA},
-        Table2Case{2, false, false, Action::NoChange, 0x00},
-        Table2Case{2, false, true, Action::Decrement, 0x00}));
+        Table2Case{0, true, false, Action::Increment},
+        Table2Case{0, true, true, Action::Increment},
+        Table2Case{0, false, false, Action::NoChange},
+        Table2Case{0, false, true, Action::Decrement},
+        Table2Case{1, true, false, Action::Increment},
+        Table2Case{1, true, true, Action::Decrement},
+        Table2Case{1, false, false, Action::NoChange},
+        Table2Case{1, false, true, Action::Decrement},
+        Table2Case{2, true, false, Action::Decrement},
+        Table2Case{2, true, true, Action::Decrement},
+        Table2Case{2, false, false, Action::NoChange},
+        Table2Case{2, false, true, Action::Decrement}),
+    // "case01_high_late_nopoll": the paper's case number, then inputs.
+    [](const ::testing::TestParamInfo<Table2Case> &info) {
+        const std::size_t n = info.index + 1;
+        return (n < 10 ? "case0" : "case") + std::to_string(n) + "_" +
+               ::testing::PrintToString(info.param);
+    });
 
 TEST(Table2Thresholds, BoundariesClassifyAsPaper)
 {

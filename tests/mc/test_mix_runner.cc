@@ -142,6 +142,26 @@ TEST(MixRunner, JsonCarriesRunAndPerCoreMetrics)
               std::string::npos);
 }
 
+TEST(MixRunner, JsonEmitsSpeedupsOnlyWithAloneBaselines)
+{
+    const MixSpec spec = benchMix("json", {"swim", "art"});
+    const McLabeledConfig cfg =
+        labeled("fdp", RunConfig::fullFdp(), 2, 15'000);
+    for (const bool swept : {false, true}) {
+        ResultsJson json("test");
+        addMcRunResult(json, swept ? runMixSweep(spec, {cfg}, 2)[0]
+                                   : runMix(spec, cfg.config, cfg.label));
+        std::ostringstream os;
+        json.write(os);
+        EXPECT_NE(os.str().find("json/fdp/c0/swim/ipc"), std::string::npos);
+        for (const char *key :
+             {"json/fdp/weighted_speedup", "json/fdp/harmonic_speedup",
+              "json/fdp/fairness", "json/fdp/c0/swim/speedup",
+              "json/fdp/c1/art/speedup"})
+            EXPECT_EQ(os.str().find(key) != std::string::npos, swept) << key;
+    }
+}
+
 TEST(MixRunner, RejectsConfigWithWrongCoreCount)
 {
     const MixSpec spec = benchMix("bad", {"swim", "art"});

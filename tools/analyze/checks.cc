@@ -823,6 +823,46 @@ checkFileIo(const SourceFile &f, std::vector<Finding> *findings)
     }
 }
 
+void
+checkLoggingOnly(const SourceFile &f, std::vector<Finding> *findings)
+{
+    // Stdout carries the paper's result tables, so in src/ only the
+    // logging and table sinks may print. tools/ is out of scope: the
+    // command-line drivers print their own output.
+    if (!pathUnder(f.relPath, "src") || f.relPath == "src/sim/logging.hh" ||
+        f.relPath == "src/sim/logging.cc" || f.relPath == "src/sim/table.cc")
+        return;
+    const Tokens &t = f.lx.tokens;
+    static const std::set<std::string> printers = {
+        "printf",   "fprintf",   "sprintf", "snprintf", "vprintf", "vfprintf",
+        "vsprintf", "vsnprintf", "puts",    "fputs",    "putchar"};
+    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+        if (isIdent(t, i) && printers.count(t[i].text) && is(t, i + 1, "(")) {
+            findings->push_back(
+                {f.relPath, t[i].line, "logging-only",
+                 t[i].text + "() outside the logging and table sinks: "
+                 "report through panic/fatal/warn/inform or write to a "
+                 "std::ostream"});
+        }
+    }
+}
+
+void
+checkTestPairing(const SourceTree &tree, const SourceFile &f,
+                 std::vector<Finding> *findings)
+{
+    if (!pathUnder(f.relPath, "src") || f.isHeader())
+        return;
+    // src/<dir>/<file>.cc is tested by tests/<dir>/test_<file>.cc.
+    const std::size_t slash = f.relPath.rfind('/');
+    const std::string dir = f.relPath.substr(3, slash - 3);
+    const std::string file = f.relPath.substr(slash + 1);
+    const std::string test = "tests" + dir + "/test_" + file;
+    if (!tree.testFiles.count(test))
+        findings->push_back(
+            {f.relPath, 1, "test-pairing", "no test file " + test});
+}
+
 } // namespace
 
 const std::vector<CheckInfo> &
@@ -842,6 +882,8 @@ checkCatalog()
         {"no-raw-new", "raw new/delete"},
         {"pool-only-threading", "threading primitives outside the sweep pool"},
         {"file-io", "raw file I/O outside the sanctioned sinks"},
+        {"logging-only", "printf-family calls in src/ outside the log sinks"},
+        {"test-pairing", "src/ translation unit without a test file"},
         {"include-guard", "missing or misnamed include guards"},
         {"include-cycle", "cyclic quoted includes"},
         {"layering", "subsystem layering violations"},
@@ -876,6 +918,8 @@ runChecks(const SourceTree &tree)
         checkNoRawNew(f, &raw);
         checkThreading(f, &raw);
         checkFileIo(f, &raw);
+        checkLoggingOnly(f, &raw);
+        checkTestPairing(tree, f, &raw);
     }
 
     IncludeGraph graph = buildIncludeGraph(tree);

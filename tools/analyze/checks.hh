@@ -15,6 +15,8 @@
  *   audit-coverage       class in src/{mem,sim,core,mc,prefetch} with
  *                        mutable container/counter state that neither
  *                        derives fdp::Auditable nor carries a suppression
+ *   snapshot-coverage    class in the same subsystems that derives
+ *                        fdp::Auditable but not fdp::Snapshottable
  *   typed-core-id        raw-integer core ids / CoreId::index() arithmetic
  *                        outside src/mc/
  *   unit-mixing          additive arithmetic mixing cycle/inst/byte
@@ -24,6 +26,11 @@
  *   pool-only-threading  raw threading primitives outside the sweep pool
  *   file-io              raw file I/O outside src/trace/,
  *                        harness/reporting, and the analyzer itself
+ *   logging-only         printf-family calls in src/ outside
+ *                        sim/logging.{hh,cc} and sim/table.cc (stdout
+ *                        carries the result tables)
+ *   test-pairing         src/<dir>/<file>.cc without
+ *                        tests/<dir>/test_<file>.cc
  *   include-guard        missing or misnamed FDP_<DIR>_<STEM>_HH guards
  *   include-cycle        cyclic quoted includes
  *   layering             subsystem layering violations (include_graph.hh)

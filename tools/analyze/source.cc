@@ -60,6 +60,12 @@ loadTree(const std::string &root)
             tree.files.push_back(std::move(sf));
         }
     }
+    const fs::path tests = fs::path(root) / "tests";
+    if (fs::is_directory(tests))
+        for (const auto &entry : fs::recursive_directory_iterator(tests))
+            if (entry.is_regular_file() && entry.path().extension() == ".cc")
+                tree.testFiles.insert(
+                    fs::relative(entry.path(), root).generic_string());
     std::sort(tree.files.begin(), tree.files.end(),
               [](const SourceFile &a, const SourceFile &b) {
                   return a.relPath < b.relPath;

@@ -3,13 +3,14 @@
  * Loading a source tree into lexed form.
  *
  * A SourceTree holds every .cc/.hh under the analyzed root's `src/`
- * and `tools/` directories (the same scope tools/fdp_lint.py covers),
- * lexed and keyed by root-relative path with forward slashes.
+ * and `tools/` directories, lexed and keyed by root-relative path with
+ * forward slashes, plus the paths of the test files under `tests/`.
  */
 
 #ifndef FDP_ANALYZE_SOURCE_HH
 #define FDP_ANALYZE_SOURCE_HH
 
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,15 +38,19 @@ struct SourceTree
 {
     std::string root;
     std::vector<SourceFile> files;
+    /** Every .cc under root/tests, e.g. "tests/mem/test_cache.cc".
+     *  Listed for test-pairing, never lexed. */
+    std::set<std::string> testFiles;
 
     /** The file at `relPath`, or nullptr. */
     const SourceFile *find(std::string_view relPath) const;
 };
 
 /**
- * Load and lex every .cc/.hh under root/src and root/tools. Missing
- * directories are skipped; unreadable files are fatal (analysis over
- * a partial tree would silently under-report).
+ * Load and lex every .cc/.hh under root/src and root/tools, and list
+ * the .cc files under root/tests. Missing directories are skipped;
+ * unreadable files are fatal (analysis over a partial tree would
+ * silently under-report).
  */
 SourceTree loadTree(const std::string &root);
 

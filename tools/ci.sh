@@ -12,8 +12,10 @@
 #   tsan    ThreadSanitizer build; runs the harness/sim tests (the ones
 #           that exercise the parallel sweep scheduler and the logging
 #           sink) plus one quick multi-threaded paper sweep
-#   static  tools/run_static_analysis.sh (repo lint always;
-#           clang-tidy/cppcheck when installed)
+#   static  fdp_analyze: the corpus self-test, then the baseline-gated
+#           scan of src/ and tools/ (findings JSON in build-ci/); the
+#           optional clang-tidy/cppcheck passes are the CMake `tidy'
+#           and `cppcheck' targets
 #   bench-smoke
 #           tools/bench.sh --quick smoke: builds the benchmark suite,
 #           runs one fast repetition, and validates the fdp-results-v1
@@ -247,11 +249,15 @@ stage_tsan() {
 }
 
 stage_static() {
-    echo "==== stage static: static analysis ===="
+    echo "==== stage static: fdp_analyze self-test + tree scan ===="
+    cmake -B "$ROOT/build-ci" -S "$ROOT" "${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}"
+    cmake --build "$ROOT/build-ci" --target fdp_analyze -j "$JOBS"
+    local analyze="$ROOT/build-ci/tools/analyze/fdp_analyze"
+    "$analyze" --root "$ROOT" --self-test
     # The findings JSON lands in the build dir so CI can archive it.
-    BUILD_DIR="$ROOT/build-ci" \
-        FDP_FINDINGS_JSON="$ROOT/build-ci/fdp-findings.json" \
-        "$ROOT/tools/run_static_analysis.sh"
+    "$analyze" --root "$ROOT" \
+        --baseline "$ROOT/tools/analyze/baseline.json" \
+        --json "$ROOT/build-ci/fdp-findings.json"
 }
 
 stage_bench_smoke() {
