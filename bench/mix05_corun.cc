@@ -61,19 +61,19 @@ main(int argc, char **argv)
         for (const McRunResult &r : results)
             addMcRunResult(json, r);
 
-        overview.addRow(
-            {mix->name, std::to_string(mix->numCores()),
-             fmtDouble(results[0].weightedSpeedup, 3),
-             fmtDouble(results[1].weightedSpeedup, 3),
-             fmtDouble(results[2].weightedSpeedup, 3),
-             fmtPercent(results[2].weightedSpeedup /
-                            results[1].weightedSpeedup -
-                        1.0)});
+        // runMixSweep computes every speedup from its alone baselines.
+        const double ws[] = {results[0].weightedSpeedup.value(),
+                             results[1].weightedSpeedup.value(),
+                             results[2].weightedSpeedup.value()};
+        overview.addRow({mix->name, std::to_string(mix->numCores()),
+                         fmtDouble(ws[0], 3), fmtDouble(ws[1], 3),
+                         fmtDouble(ws[2], 3),
+                         fmtPercent(ws[2] / ws[1] - 1.0)});
         // Bandwidth-bound mixes: every core is a streamer, so the
         // shared bus is the bottleneck and throttling has to pay off.
         if (mix->name == "mix2-stream" || mix->name == "mix4-bw") {
-            aggrWsOnBwMixes += results[1].weightedSpeedup;
-            fdpWsOnBwMixes += results[2].weightedSpeedup;
+            aggrWsOnBwMixes += ws[1];
+            fdpWsOnBwMixes += ws[2];
         }
     }
 

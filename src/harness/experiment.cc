@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <iostream>
 #include <string>
 
@@ -223,75 +224,49 @@ makeRunPrefetcher(const RunConfig &config)
     return std::make_unique<ManagedPrefetcher>(mp, std::move(zoo));
 }
 
-SimMachine::SimMachine(Workload &workload, const RunConfig &config)
-    : prefetcher(makeRunPrefetcher(config)),
-      fdp(config.resolvedFdpParams(),
-          config.warmupInsts == 0 ? prefetcher.get() : nullptr, fdpStats),
-      mem(config.machine, events,
-          config.warmupInsts == 0 ? prefetcher.get() : nullptr, fdp,
-          memStats),
-      core(config.core, mem, events, workload, coreStats),
-      workload(workload)
+MachineCores::MachineCores(std::vector<Workload *> programs,
+                           const RunConfig &config,
+                           const std::vector<std::string> &corePrefetchers)
+    : workloads(std::move(programs))
 {
+    const std::size_t n = workloads.size();
+    if (!corePrefetchers.empty() && corePrefetchers.size() != n)
+        fatal("machine of %zu cores got %zu per-core prefetcher "
+              "selections", n, corePrefetchers.size());
+    if (n == 1) {
+        for (const char *name : {"fdp", "mem", "core"})
+            stats.emplace_back(name);
+    } else {
+        stats.emplace_back("mem");
+        for (std::size_t i = 0; i < n; ++i)
+            stats.emplace_back("c" + std::to_string(i));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        // Heterogeneous machines re-derive each core's config from the
+        // base; makeRunPrefetcher picks the same start level the
+        // controllers use and wraps the zoo in a manager when selected.
+        prefetchers.push_back(makeRunPrefetcher(
+            corePrefetchers.empty()
+                ? config
+                : applyPrefetcherSelection(config, corePrefetchers[i])));
+        attached.push_back(config.warmupInsts == 0 ? prefetchers[i].get()
+                                                   : nullptr);
+        FdpParams fp = config.resolvedFdpParams();
+        if (n > 1)
+            fp.label = "fdp_controller.c" + std::to_string(i);
+        controllerPtrs.push_back(&controllers.emplace_back(
+            fp, attached[i], fdpStats(CoreId(i))));
+        // One core's share of every shared counter is the total itself.
+        memGroups.push_back(n == 1 ? nullptr : &coreStats(CoreId(i)));
+    }
 }
 
-SnapshotParts
-SimMachine::parts()
+namespace
 {
-    return SnapshotParts{events,   workload, core,     mem,      fdp,
-                         prefetcher.get(),   fdpStats, memStats, coreStats};
-}
 
-void
-measurementBoundary(SimMachine &m)
-{
-    drainToQuiesce(m.events, m.mem);
-    FDP_ASSERT(m.events.empty(),
-               "measurement boundary: %zu events pending after drain",
-               m.events.size());
-    m.fdpStats.resetAll();
-    m.memStats.resetAll();
-    m.coreStats.resetAll();
-    m.mem.resetAttribution();
-    m.fdp.setPrefetcher(m.prefetcher.get());
-    m.fdp.reset();
-    m.mem.setPrefetcher(m.prefetcher.get());
-    // The prefetcher was detached all through warm-up, so for the
-    // static kinds this is a no-op on an already-fresh component. A
-    // ManagedPrefetcher, though, was ticked by the warm-up's interval
-    // boundaries; resetting its FSM here makes the cold path
-    // bit-identical to a fork restore (which rebuilds it fresh).
-    if (m.prefetcher)
-        m.prefetcher->reset();
-}
-
-// Audit the assembled machine at every sampling-interval boundary so
-// structural corruption surfaces at the paper's natural checkpoint
-// cadence instead of as silently wrong results.
-bool
-wireAudits(SimMachine &m, AuditSet &audits)
-{
-    audits.add(&m.events);
-    audits.add(&m.fdp);
-    audits.add(&m.mem);
-    if (m.prefetcher)
-        audits.add(m.prefetcher.get());
-    // Auditable frontends (e.g. TraceWorkload) join the same pass.
-    if (const auto *aw = dynamic_cast<const Auditable *>(&m.workload))
-        audits.add(aw);
-    const bool periodicAudit = debugBuild() || auditRequestedByEnv();
-    // A managed prefetcher consumes each closed interval; audit builds
-    // then verify the whole machine at the same paper checkpoint.
-    auto *manager = dynamic_cast<ManagedPrefetcher *>(m.prefetcher.get());
-    m.fdp.setEndOfIntervalHook([&m, &audits, periodicAudit, manager] {
-        if (manager != nullptr)
-            tickManager(*manager, m.fdp, m.core, m.events);
-        if (periodicAudit)
-            audits.runAll();
-    });
-    return periodicAudit;
-}
-
+/** Hand @p manager the interval @p fdp just closed: reconfiguration
+ *  and throttling share one boundary. FDP_MANAGER_TRACE=1 logs each
+ *  tick to stderr. */
 void
 tickManager(ManagedPrefetcher &manager, const FdpController &fdp,
             const OooCore &core, const EventQueue &events)
@@ -308,46 +283,167 @@ tickManager(ManagedPrefetcher &manager, const FdpController &fdp,
                   << " active=" << manager.activeName() << '\n';
 }
 
-RunResult
-extractResult(SimMachine &m, const std::string &configLabel)
+} // namespace
+
+Machine::Machine(std::vector<Workload *> programs, const RunConfig &config,
+                 const std::vector<std::string> &corePrefetchers)
+    : MachineCores(std::move(programs), config, corePrefetchers),
+      mem(config.machine, events, attached, controllerPtrs, memStats(),
+          memGroups)
 {
+    const std::size_t n = workloads.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        // One core drives the memory system as its own port.
+        MemoryPort &port = n == 1 ? static_cast<MemoryPort &>(mem)
+                                  : mem.port(CoreId(i));
+        cores.emplace_back(config.core, port, events, *workloads[i],
+                           coreStats(CoreId(i)));
+    }
+}
+
+SnapshotParts
+Machine::parts()
+{
+    std::vector<SnapshotParts::Core> parts;
+    for (std::size_t i = 0; i < cores.size(); ++i)
+        parts.push_back({*workloads[i], cores[i], controllers[i],
+                         prefetchers[i].get()});
+    std::vector<StatGroup *> groups;
+    for (StatGroup &g : stats)
+        groups.push_back(&g);
+    return SnapshotParts(events, mem, std::move(parts), std::move(groups));
+}
+
+void
+measurementBoundary(Machine &m)
+{
+    drainToQuiesce(m.events, m.mem);
+    FDP_ASSERT(m.events.empty(),
+               "measurement boundary: %zu events pending after drain",
+               m.events.size());
+    for (StatGroup &g : m.stats)
+        g.resetAll();
+    m.mem.resetAttribution();
+    for (std::size_t i = 0; i < m.cores.size(); ++i) {
+        Prefetcher *pf = m.prefetchers[i].get();
+        m.controllers[i].setPrefetcher(pf);
+        m.controllers[i].reset();
+        m.mem.setPrefetcher(pf, CoreId(i));
+        // The prefetcher was detached all through warm-up, so for the
+        // static kinds this is a no-op on an already-fresh component. A
+        // ManagedPrefetcher, though, was ticked by the warm-up's
+        // interval boundaries; resetting its FSM here makes the cold
+        // path bit-identical to a fork restore (which rebuilds it
+        // fresh).
+        if (pf)
+            pf->reset();
+    }
+}
+
+// Audit the assembled machine at every sampling-interval boundary so
+// structural corruption surfaces at the paper's natural checkpoint
+// cadence instead of as silently wrong results.
+bool
+wireAudits(Machine &m, AuditSet &audits)
+{
+    const std::size_t n = m.cores.size();
+    audits.add(&m.events);
+    audits.add(&m.mem);
+    for (std::size_t i = 0; i < n; ++i) {
+        audits.add(&m.controllers[i]);
+        if (m.prefetchers[i])
+            audits.add(m.prefetchers[i].get());
+        // Auditable frontends (e.g. TraceWorkload) join the same pass.
+        if (const auto *aw = dynamic_cast<const Auditable *>(m.workloads[i]))
+            audits.add(aw);
+    }
+    const bool periodicAudit = debugBuild() || auditRequestedByEnv();
+    // Each manager samples ITS core's feedback counters and retired
+    // count at that controller's interval boundary. Audits ride on the
+    // LAST controller only: shared-L2 evictions tick the controllers in
+    // core-id order, so only after the last one closes its interval are
+    // all interval counts equal again (which the memory audit asserts).
+    for (std::size_t i = 0; i < n; ++i) {
+        auto *mgr = dynamic_cast<ManagedPrefetcher *>(m.prefetchers[i].get());
+        const bool auditsHere = periodicAudit && i + 1 == n;
+        if (mgr == nullptr && !auditsHere)
+            continue;
+        FdpController &ctrl = m.controllers[i];
+        OooCore &core = m.cores[i];
+        EventQueue &events = m.events;
+        ctrl.setEndOfIntervalHook([&audits, &events, &ctrl, &core, mgr,
+                                   auditsHere] {
+            if (mgr != nullptr)
+                tickManager(*mgr, ctrl, core, events);
+            if (auditsHere)
+                audits.runAll();
+        });
+    }
+    return periodicAudit;
+}
+
+void
+runSingleCore(Machine &m, std::uint64_t insts)
+{
+    m.cores.front().run(insts);
+}
+
+void
+runMachine(Machine &m, const RunConfig &config, MachineDriver drive,
+           const std::vector<std::uint8_t> *warmImage)
+{
+    AuditSet audits;
+    const bool periodicAudit = wireAudits(m, audits);
+
+    if (warmImage != nullptr)
+        restoreMachine(m.parts(), *warmImage, RestoreMode::Fork);
+    else if (config.warmupInsts > 0)
+        drive(m, config.warmupInsts);
+    if (warmImage != nullptr || config.warmupInsts > 0)
+        measurementBoundary(m);
+    drive(m, config.numInsts);
+
+    if (periodicAudit)
+        audits.runAll();
+}
+
+RunResult
+extractResult(Machine &m, const std::string &configLabel, CoreId core)
+{
+    const OooCore &c = m.cores[core.index()];
+    const FdpController &fdp = m.controllers[core.index()];
     RunResult r;
-    r.benchmark = m.workload.name();
+    r.benchmark = m.workloads[core.index()]->name();
     r.config = configLabel;
-    r.insts = m.core.retired();
-    r.cycles = m.core.cycles();
-    r.ipc = m.core.ipc();
-    r.busAccesses = m.mem.dram().busAccesses();
+    r.insts = c.retired();
+    r.cycles = c.cycles();
+    r.ipc = c.ipc();
+    r.busAccesses = m.mem.dram().busAccessesByCore(core);
     r.bpki = ratio(static_cast<double>(r.busAccesses),
                    static_cast<double>(r.insts) / 1000.0);
-    r.accuracy = m.fdp.lifetimeAccuracy();
-    r.lateness = m.fdp.lifetimeLateness();
-    r.pollution = m.fdp.lifetimePollution();
-    r.l2Misses = m.mem.l2Misses();
-    r.demandAccesses = m.mem.demandAccesses();
-    r.mshrStallCount = m.mem.mshrStalls();
+    r.accuracy = fdp.lifetimeAccuracy();
+    r.lateness = fdp.lifetimeLateness();
+    r.pollution = fdp.lifetimePollution();
+    r.l2Misses = m.mem.l2Misses(core);
+    r.demandAccesses = m.mem.demandAccesses(core);
+    r.mshrStallCount = m.mem.mshrStalls(core);
     r.avgMissLatency = m.mem.avgDemandMissLatency();
-    for (const auto *s : m.memStats.scalars()) {
-        if (s->name() == "demand_grants")
-            r.demandGrants = s->value();
-        else if (s->name() == "prefetch_grants")
-            r.prefetchGrants = s->value();
-        else if (s->name() == "writeback_grants")
-            r.writebackGrants = s->value();
-        else if (s->name() == "pref_drop_queue_full")
-            r.prefDropQueueFull = s->value();
-    }
-
-    for (const auto *s : m.fdpStats.scalars()) {
-        if (s->name() == "pref_sent")
-            r.prefSent = s->value();
-        else if (s->name() == "pref_used")
-            r.prefUsed = s->value();
-    }
-    const DistributionStat &ld = m.fdp.levelDistribution();
+    const auto scalar = [](const StatGroup &g, const char *name) {
+        for (const ScalarStat *s : g.scalars())
+            if (s->name() == name)
+                return s->value();
+        return std::uint64_t{0};
+    };
+    r.demandGrants = scalar(m.memStats(), "demand_grants");
+    r.prefetchGrants = scalar(m.memStats(), "prefetch_grants");
+    r.writebackGrants = scalar(m.memStats(), "writeback_grants");
+    r.prefDropQueueFull = scalar(m.memStats(), "pref_drop_queue_full");
+    r.prefSent = scalar(m.fdpStats(core), "pref_sent");
+    r.prefUsed = scalar(m.fdpStats(core), "pref_used");
+    const DistributionStat &ld = fdp.levelDistribution();
     for (std::size_t i = 0; i < r.levelDist.size(); ++i)
         r.levelDist[i] = ld.fraction(i);
-    const DistributionStat &id = m.fdp.insertDistribution();
+    const DistributionStat &id = fdp.insertDistribution();
     for (std::size_t i = 0; i < r.insertDist.size(); ++i)
         r.insertDist[i] = id.fraction(i);
     return r;
@@ -357,20 +453,8 @@ RunResult
 runWorkload(Workload &workload, const RunConfig &config,
             const std::string &configLabel)
 {
-    SimMachine m(workload, config);
-
-    AuditSet audits;
-    const bool periodicAudit = wireAudits(m, audits);
-
-    if (config.warmupInsts > 0) {
-        m.core.run(config.warmupInsts);
-        measurementBoundary(m);
-    }
-    m.core.run(config.numInsts);
-
-    if (periodicAudit)
-        audits.runAll();
-
+    Machine m({&workload}, config);
+    runMachine(m, config, runSingleCore);
     return extractResult(m, configLabel);
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment runner: assembles a full simulated machine (workload ->
- * core -> memory system -> prefetcher -> FDP controller), runs it, and
- * returns the metrics every paper table/figure is built from.
+ * Experiment runner: assembles the simulated machine (per core a
+ * workload, core, prefetcher and FDP controller, over one memory
+ * system), runs it, and returns the metrics every paper table/figure
+ * is built from.
  */
 
 #ifndef FDP_HARNESS_EXPERIMENT_HH
@@ -10,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,63 +172,118 @@ std::vector<PrefetcherKind> defaultManagerZoo();
 std::unique_ptr<Prefetcher> makeRunPrefetcher(const RunConfig &config);
 
 /**
- * One fully-assembled simulated machine: the event queue, the three
- * stat groups, the prefetcher, the FDP controller, the memory system,
- * and the core, wired together for @p config and driving @p workload.
- *
- * When @p config.warmupInsts is 0 the prefetcher is attached from
- * construction (the classic measure-from-reset machine). Otherwise it
- * is built but left detached — the warm-up phase runs prefetcher-free,
- * and measurementBoundary() attaches it. Snapshot capture and restore
- * see the machine through parts().
+ * The half of a Machine that its memory system is wired to, built
+ * first: the stat groups and each core's workload, prefetcher and FDP
+ * controller. One core has the groups `fdp`, `mem` and `core` (the
+ * single-core stat dump and snapshot layout); N > 1 cores have `mem`
+ * and `c0` .. `cN-1`, each holding one core's controller, pipeline and
+ * memory-side share. Prefetchers start detached while a warm-up is
+ * pending.
  */
-struct SimMachine
+struct MachineCores
 {
-    SimMachine(Workload &workload, const RunConfig &config);
+    /** @p corePrefetchers is empty (every core runs @p config's
+     *  prefetcher) or one selection name per core. */
+    MachineCores(std::vector<Workload *> workloads, const RunConfig &config,
+                 const std::vector<std::string> &corePrefetchers);
 
-    /** The snapshot view of this machine. */
+    StatGroup &fdpStats(CoreId core) { return stats[group(core, 0)]; }
+    StatGroup &coreStats(CoreId core) { return stats[group(core, 2)]; }
+    StatGroup &memStats() { return stats[workloads.size() == 1 ? 1 : 0]; }
+
+    std::deque<StatGroup> stats;
+    std::vector<Workload *> workloads;
+    std::vector<std::unique_ptr<Prefetcher>> prefetchers;
+    // A deque: controllers register statistics and must never relocate.
+    std::deque<FdpController> controllers;
+    /// @name The memory system's wiring, per core
+    /// @{
+    std::vector<Prefetcher *> attached;
+    std::vector<FdpController *> controllerPtrs;
+    std::vector<StatGroup *> memGroups;
+    /// @}
+
+  private:
+    std::size_t
+    group(CoreId core, std::size_t oneCore) const
+    {
+        return workloads.size() == 1 ? oneCore : 1 + core.index();
+    }
+};
+
+/**
+ * One simulated machine of N >= 1 cores over one MemorySystem on one
+ * event queue (DESIGN.md §13), and the only assembly of a run's
+ * machine: single-core runs and co-runs differ only in the driver that
+ * advances it (runSingleCore here, runLockstep in mc/mc_machine.hh).
+ */
+struct Machine : MachineCores
+{
+    Machine(std::vector<Workload *> workloads, const RunConfig &config,
+            const std::vector<std::string> &corePrefetchers = {});
+
+    unsigned numCores() const { return static_cast<unsigned>(cores.size()); }
+
+    /** The snapshot view of this machine, every core included. */
     SnapshotParts parts();
 
     EventQueue events;
-    StatGroup fdpStats{"fdp"};
-    StatGroup memStats{"mem"};
-    StatGroup coreStats{"core"};
-    std::unique_ptr<Prefetcher> prefetcher;
-    FdpController fdp;
     MemorySystem mem;
-    OooCore core;
-    Workload &workload;
+    std::deque<OooCore> cores;
+};
+
+/**
+ * The one-core Machine under the member names the repository benchmark
+ * (perfbench/) reads: core, events, mem and parts(). ROADMAP lists it
+ * for removal at that benchmark's next change; other code uses Machine.
+ */
+struct SimMachine : Machine
+{
+    SimMachine(Workload &workload, const RunConfig &config)
+        : Machine({&workload}, config), core(cores.front())
+    {
+    }
+
+    OooCore &core;
 };
 
 /**
  * Transition @p m from warm-up to measurement: drain in-flight misses
  * to a quiesce point, zero every statistic and the memory system's
- * per-core attribution, reset the FDP controller to its configured
- * initial policy, and attach the per-configuration prefetcher. Both
- * the cold path (after an in-place warm-up run) and the fork path
+ * per-core attribution, reset each FDP controller to its configured
+ * initial policy, and attach each core's per-configuration prefetcher.
+ * Both the cold path (after an in-place warm-up run) and the fork path
  * (after restoring a warm snapshot) cross exactly this boundary, which
  * is what makes them bit-identical.
  */
-void measurementBoundary(SimMachine &m);
+void measurementBoundary(Machine &m);
 
 /**
  * Wire @p m's Auditable components into @p audits and, in debug builds
- * (or under FDP_AUDIT=1), re-audit at every sampling-interval boundary.
- * Returns whether periodic auditing is active, so the caller knows to
- * run a final pass after the measured run.
+ * (or under FDP_AUDIT=1), re-audit at every sampling-interval boundary;
+ * managed prefetchers tick there too. Returns whether periodic auditing
+ * is active, so the caller knows to run a final pass after the run.
  */
-bool wireAudits(SimMachine &m, AuditSet &audits);
+bool wireAudits(Machine &m, AuditSet &audits);
+
+/** Runs every core of @p m until each retired @p insts more micro-ops. */
+using MachineDriver = void (*)(Machine &m, std::uint64_t insts);
+
+/** The single-core driver: OooCore::run on core 0. */
+void runSingleCore(Machine &m, std::uint64_t insts);
 
 /**
- * Hand @p manager the interval @p fdp just closed, from that controller's
- * end-of-interval hook: reconfiguration and throttling share one
- * boundary. FDP_MANAGER_TRACE=1 logs each tick to stderr.
+ * The run sequence of both drivers: wire audits; warm up in place, or
+ * fork-restore @p warmImage (a captureMachine body); cross the
+ * measurement boundary; drive config.numInsts; run the final audits.
  */
-void tickManager(ManagedPrefetcher &manager, const FdpController &fdp,
-                 const OooCore &core, const EventQueue &events);
+void runMachine(Machine &m, const RunConfig &config, MachineDriver drive,
+                const std::vector<std::uint8_t> *warmImage = nullptr);
 
-/** Pull every RunResult field out of a finished measured run. */
-RunResult extractResult(SimMachine &m, const std::string &configLabel);
+/** Pull @p core's RunResult out of a finished measured run (grant and
+ *  queue-full counts and miss latency are machine-wide). */
+RunResult extractResult(Machine &m, const std::string &configLabel,
+                        CoreId core = kCore0);
 
 /**
  * Run one named SPEC stand-in under @p config.

@@ -32,8 +32,8 @@ captureWarmSnapshot(const std::string &benchmark, const RunConfig &config)
     neutral.warmupInsts = config.warmupInsts;
 
     SyntheticWorkload workload(benchmarkParams(benchmark));
-    SimMachine m(workload, neutral);
-    m.core.run(config.warmupInsts);
+    Machine m({&workload}, neutral);
+    runSingleCore(m, config.warmupInsts);
     drainToQuiesce(m.events, m.mem);
     FDP_ASSERT(m.events.empty(),
                "warm snapshot: %zu events pending after drain",
@@ -71,18 +71,8 @@ runBenchmarkFromSnapshot(const SnapshotImage &image, const RunConfig &config,
               "  snapshot: %s", geom.c_str(), image.geometry.c_str());
 
     SyntheticWorkload workload(benchmarkParams(image.benchmark));
-    SimMachine m(workload, config);
-    restoreMachine(m.parts(), image.body, RestoreMode::Fork);
-
-    AuditSet audits;
-    const bool periodicAudit = wireAudits(m, audits);
-
-    measurementBoundary(m);
-    m.core.run(config.numInsts);
-
-    if (periodicAudit)
-        audits.runAll();
-
+    Machine m({&workload}, config);
+    runMachine(m, config, runSingleCore, &image.body);
     return extractResult(m, configLabel);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "manage/prefetcher_manager.hh"
 #include "sim/logging.hh"
@@ -25,99 +26,16 @@ describePrefetcher(const Prefetcher *pf)
 
 } // namespace
 
-McRunResult
-runMcWorkloads(const McRunConfig &config,
-               const std::vector<std::unique_ptr<Workload>> &workloads,
-               const std::string &mixName, const std::string &configLabel)
+void
+runLockstep(Machine &m, std::uint64_t insts)
 {
-    const unsigned n = config.numCores;
-    if (n == 0)
-        fatal("a co-run needs at least one core");
-    if (workloads.size() != n)
-        fatal("co-run of %u cores got %zu workloads", n,
-              workloads.size());
-    if (!config.corePrefetchers.empty() && config.corePrefetchers.size() != n)
-        fatal("co-run of %u cores got %zu per-core prefetcher selections",
-              n, config.corePrefetchers.size());
-
-    EventQueue events;
-    StatGroup sharedStats("mem");
-    // deques: StatGroup, FdpController, and OooCore register stats on
-    // construction and must never relocate.
-    std::deque<StatGroup> coreStats;
-    std::deque<FdpController> controllers;
-    std::deque<OooCore> cores;
-    std::vector<std::unique_ptr<Prefetcher>> prefetchers;
-
-    const FdpParams fp = config.base.resolvedFdpParams();
-
-    std::vector<Prefetcher *> pfPtrs;
-    std::vector<FdpController *> fdpPtrs;
-    std::vector<StatGroup *> groupPtrs;
-    for (unsigned i = 0; i < n; ++i) {
-        coreStats.emplace_back("c" + std::to_string(i));
-        // Heterogeneous co-runs re-derive each core's config from the
-        // base; makeRunPrefetcher picks the same start level the
-        // controllers use (initialLevel when dynamic, staticLevel
-        // otherwise) and wraps the zoo in a manager when selected.
-        RunConfig cc = config.corePrefetchers.empty()
-                           ? config.base
-                           : applyPrefetcherSelection(
-                                 config.base, config.corePrefetchers[i]);
-        prefetchers.push_back(makeRunPrefetcher(cc));
-        FdpParams fpi = fp;
-        fpi.label = "fdp_controller.c" + std::to_string(i);
-        controllers.emplace_back(fpi, prefetchers.back().get(),
-                                 coreStats.back());
-        pfPtrs.push_back(prefetchers.back().get());
-        fdpPtrs.push_back(&controllers.back());
-        groupPtrs.push_back(&coreStats.back());
-    }
-
-    MemorySystem mem(config.base.machine, events, pfPtrs, fdpPtrs,
-                       sharedStats, groupPtrs);
+    // Every core steps at every simulated cycle, in core-id order,
+    // until each has retired the per-core budget.
+    EventQueue &events = m.events;
+    std::deque<OooCore> &cores = m.cores;
+    const unsigned n = m.numCores();
     for (unsigned i = 0; i < n; ++i)
-        cores.emplace_back(config.base.core, mem.port(CoreId(i)), events,
-                           *workloads[i], coreStats[i]);
-
-    AuditSet audits;
-    audits.add(&events);
-    audits.add(&mem);
-    for (unsigned i = 0; i < n; ++i) {
-        audits.add(fdpPtrs[i]);
-        if (pfPtrs[i])
-            audits.add(pfPtrs[i]);
-        if (const auto *aw =
-                dynamic_cast<const Auditable *>(workloads[i].get()))
-            audits.add(aw);
-    }
-    const bool periodicAudit = debugBuild() || auditRequestedByEnv();
-    // Per-controller hooks: each manager samples ITS core's feedback
-    // counters and retired-instruction count at that core's interval
-    // boundary. Audits ride on the LAST controller only: shared-L2
-    // evictions tick the controllers in core-id order, so only after
-    // the last one closes its interval are all interval counts equal
-    // again (which the mc audit asserts).
-    for (unsigned i = 0; i < n; ++i) {
-        auto *mgr = dynamic_cast<ManagedPrefetcher *>(pfPtrs[i]);
-        const bool auditsHere = periodicAudit && i + 1 == n;
-        if (mgr == nullptr && !auditsHere)
-            continue;
-        FdpController &ctrl = controllers[i];
-        OooCore &core = cores[i];
-        ctrl.setEndOfIntervalHook([&audits, &events, &ctrl, &core, mgr,
-                                   auditsHere] {
-            if (mgr != nullptr)
-                tickManager(*mgr, ctrl, core, events);
-            if (auditsHere)
-                audits.runAll();
-        });
-    }
-
-    // Lockstep drive: every core steps at every simulated cycle, in
-    // core-id order, until each has retired the per-core budget.
-    for (unsigned i = 0; i < n; ++i)
-        cores[i].beginRun(config.base.numInsts);
+        cores[i].beginRun(insts);
     Cycle cyc = events.horizon();
     const Cycle start = cyc;
     std::vector<Cycle> finish(n, start);
@@ -164,38 +82,50 @@ runMcWorkloads(const McRunConfig &config,
     }
     for (unsigned i = 0; i < n; ++i)
         cores[i].closeRun(start, finish[i]);
+}
 
-    if (periodicAudit)
-        audits.runAll();
+McRunResult
+runMcWorkloads(const McRunConfig &config,
+               const std::vector<std::unique_ptr<Workload>> &workloads,
+               const std::string &mixName, const std::string &configLabel)
+{
+    const unsigned n = config.numCores;
+    if (n == 0)
+        fatal("a co-run needs at least one core");
+    if (workloads.size() != n)
+        fatal("co-run of %u cores got %zu workloads", n,
+              workloads.size());
+
+    std::vector<Workload *> programs;
+    for (const auto &w : workloads)
+        programs.push_back(w.get());
+    Machine m(std::move(programs), config.base, config.corePrefetchers);
+    runMachine(m, config.base, runLockstep);
 
     McRunResult r;
     r.mix = mixName;
     r.config = configLabel;
     r.numCores = n;
-    r.busAccesses = mem.dram().busAccesses();
+    r.busAccesses = m.mem.dram().busAccesses();
     for (unsigned i = 0; i < n; ++i) {
+        const RunResult one = extractResult(m, configLabel, CoreId(i));
         McCoreResult c;
-        c.program = workloads[i]->name();
-        c.prefetcher = describePrefetcher(pfPtrs[i]);
-        c.insts = cores[i].retired();
-        c.cycles = cores[i].cycles();
-        c.ipc = cores[i].ipc();
-        c.accuracy = controllers[i].lifetimeAccuracy();
-        c.lateness = controllers[i].lifetimeLateness();
-        c.pollution = controllers[i].lifetimePollution();
-        c.l2Misses = mem.l2Misses(CoreId(i));
-        c.demandAccesses = mem.demandAccesses(CoreId(i));
-        c.busAccesses = mem.dram().busAccessesByCore(CoreId(i));
-        c.bpki = ratio(static_cast<double>(c.busAccesses),
-                       static_cast<double>(c.insts) / 1000.0);
-        c.pollutionInflicted = mem.pollutionInflicted(CoreId(i));
-        c.crossPollutionSuffered = mem.crossPollutionSuffered(CoreId(i));
-        for (const auto *s : coreStats[i].scalars()) {
-            if (s->name() == "pref_sent")
-                c.prefSent = s->value();
-            else if (s->name() == "pref_used")
-                c.prefUsed = s->value();
-        }
+        c.program = one.benchmark;
+        c.prefetcher = describePrefetcher(m.prefetchers[i].get());
+        c.insts = one.insts;
+        c.cycles = one.cycles;
+        c.ipc = one.ipc;
+        c.bpki = one.bpki;
+        c.accuracy = one.accuracy;
+        c.lateness = one.lateness;
+        c.pollution = one.pollution;
+        c.prefSent = one.prefSent;
+        c.prefUsed = one.prefUsed;
+        c.l2Misses = one.l2Misses;
+        c.demandAccesses = one.demandAccesses;
+        c.busAccesses = one.busAccesses;
+        c.pollutionInflicted = m.mem.pollutionInflicted(CoreId(i));
+        c.crossPollutionSuffered = m.mem.crossPollutionSuffered(CoreId(i));
         r.cycles = std::max(r.cycles, c.cycles);
         r.throughput += c.ipc;
         r.cores.push_back(std::move(c));

@@ -1,30 +1,32 @@
 /**
  * @file
- * Multi-core co-run driver (DESIGN.md §13): N OooCore pipelines over
- * one N-core MemorySystem, advanced in lockstep on ONE shared event
- * queue.
+ * Multi-core co-runs (DESIGN.md §13): the lockstep driver that advances
+ * every core of one Machine (harness/experiment.hh) on its ONE shared
+ * event queue, and the co-run entry points built on it.
  *
  * Every simulated cycle, cores step in core-id order (retire then
  * dispatch); when no core makes progress the clock jumps to the next
- * event or head-of-ROB wake cycle, exactly like the single-core run
- * loop. The interleaving is therefore a pure function of the
- * configuration and the workloads — bit-identical across hosts, job
- * counts, and repeated runs — and a 1-core co-run reproduces
- * OooCore::run() over a one-core MemorySystem cycle for cycle.
- * Single-core runs keep OooCore::run(), which is faster than this
- * lockstep loop at N=1 (DESIGN.md §13).
+ * event or head-of-ROB wake cycle, exactly like OooCore::run(). The
+ * interleaving is therefore a pure function of the configuration and
+ * the workloads — bit-identical across hosts, job counts, and repeated
+ * runs — and a 1-core co-run reproduces OooCore::run() cycle for cycle.
+ * Single-core runs keep OooCore::run(), which is faster than this loop
+ * at N=1; both go through the same runMachine sequence.
  *
  * Each core runs until IT has retired the per-core budget; cores that
  * finish early stop issuing while the rest keep contending (their
  * in-flight prefetches still drain). Per-core cycle counts cover each
  * core's own completion window, the standard multi-programmed
- * methodology for IPC_shared.
+ * methodology for IPC_shared. A warm-up is one such lockstep window
+ * of warmupInsts per core with every prefetcher detached, after which
+ * the machine drains and crosses one measurement boundary.
  */
 
 #ifndef FDP_MC_MC_MACHINE_HH
 #define FDP_MC_MC_MACHINE_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +42,8 @@ struct McRunConfig
     /**
      * Per-core configuration. machine/core give the Table 3 geometry
      * (the L2, MSHRs, and DRAM of which are shared); prefetcher and
-     * fdp are replicated per core; numInsts is the PER-CORE budget.
+     * fdp are replicated per core; numInsts and warmupInsts are
+     * PER-CORE budgets.
      */
     RunConfig base;
     unsigned numCores = 2;
@@ -79,9 +82,9 @@ struct McCoreResult
     /** Demand blocks this core lost to OTHER cores' prefetches. */
     std::uint64_t crossPollutionSuffered = 0;
     /** Single-core baseline IPC; set by the mix runner. */
-    double aloneIpc = 0.0;
+    std::optional<double> aloneIpc;
     /** IPC_shared / IPC_alone; set by the mix runner. */
-    double speedup = 0.0;
+    std::optional<double> speedup;
 };
 
 /** Everything one co-run produces. */
@@ -99,16 +102,20 @@ struct McRunResult
     double throughput = 0.0;
     /// @name Multi-program metrics; set by the mix runner
     /// @{
-    double weightedSpeedup = 0.0;
-    double harmonicSpeedup = 0.0;
+    std::optional<double> weightedSpeedup;
+    std::optional<double> harmonicSpeedup;
     /** min/max per-core speedup (1.0 = perfectly fair). */
-    double fairness = 0.0;
+    std::optional<double> fairness;
     /// @}
 };
 
+/** The co-run driver: lockstep over every core of @p m until each has
+ *  retired @p insts more micro-ops. */
+void runLockstep(Machine &m, std::uint64_t insts);
+
 /**
  * Run @p workloads (one per core, typically from buildMixWorkloads)
- * under @p config. Speedup fields are left zero — runMixSweep fills
+ * under @p config. Speedup fields are left empty — runMixSweep fills
  * them from the single-core baselines.
  */
 McRunResult runMcWorkloads(const McRunConfig &config,

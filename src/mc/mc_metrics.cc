@@ -52,8 +52,8 @@ finalizeSpeedups(McRunResult &r, const std::vector<double> &aloneIpc)
     for (std::size_t i = 0; i < r.cores.size(); ++i) {
         McCoreResult &c = r.cores[i];
         c.aloneIpc = aloneIpc[i];
-        c.speedup = ratio(c.ipc, c.aloneIpc);
-        speedups.push_back(c.speedup);
+        c.speedup = ratio(c.ipc, aloneIpc[i]);
+        speedups.push_back(*c.speedup);
     }
     r.weightedSpeedup = weightedSpeedup(speedups);
     r.harmonicSpeedup = harmonicSpeedup(speedups);

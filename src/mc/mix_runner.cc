@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "harness/sweep_pool.hh"
 #include "sim/logging.hh"
@@ -33,6 +34,13 @@ baselineKey(const MixEntry &entry, unsigned dup, const std::string &sel)
     return "b:" + entry.benchmark + "#" + std::to_string(dup) + machine;
 }
 
+/** A multi-program metric, or "-" when it was never computed. */
+std::string
+fmtOptional(const std::optional<double> &value)
+{
+    return value ? fmtDouble(*value, 3) : "-";
+}
+
 } // namespace
 
 std::vector<McRunResult>
@@ -50,7 +58,8 @@ runMixSweep(const MixSpec &mix, const std::vector<McLabeledConfig> &configs,
             fatal("mix %s names %u cores but configuration %s has %u",
                   mix.name.c_str(), n, c.label.c_str(),
                   c.config.numCores);
-        maxInsts = std::max(maxInsts, c.config.base.numInsts);
+        maxInsts = std::max(maxInsts, c.config.base.warmupInsts +
+                                          c.config.base.numInsts);
     }
 
     // Validate every program on the main thread, before any worker
@@ -188,8 +197,8 @@ buildMixCoreTable(const std::vector<McRunResult> &results)
             const McCoreResult &core = r.cores[i];
             t.addRow({r.config, "c" + std::to_string(i), core.program,
                       core.prefetcher, fmtDouble(core.ipc, 3),
-                      fmtDouble(core.aloneIpc, 3),
-                      fmtDouble(core.speedup, 3),
+                      fmtOptional(core.aloneIpc),
+                      fmtOptional(core.speedup),
                       fmtDouble(core.bpki, 2),
                       fmtDouble(core.accuracy, 2),
                       fmtDouble(core.pollution, 3),
@@ -209,9 +218,9 @@ buildMixSummaryTable(const std::vector<McRunResult> &results)
     t.setHeader({"config", "weighted speedup", "harmonic speedup",
                  "fairness", "throughput", "bus accesses"});
     for (const McRunResult &r : results)
-        t.addRow({r.config, fmtDouble(r.weightedSpeedup, 3),
-                  fmtDouble(r.harmonicSpeedup, 3),
-                  fmtDouble(r.fairness, 3), fmtDouble(r.throughput, 3),
+        t.addRow({r.config, fmtOptional(r.weightedSpeedup),
+                  fmtOptional(r.harmonicSpeedup),
+                  fmtOptional(r.fairness), fmtDouble(r.throughput, 3),
                   std::to_string(r.busAccesses)});
     return t;
 }
@@ -221,17 +230,15 @@ addMcRunResult(ResultsJson &json, const McRunResult &r)
 {
     const std::string base = r.mix + "/" + r.config;
     // Speedups are relative to alone baselines; a bare runMix result has
-    // none, and a 0 there would read as a measured value.
-    const bool hasBaselines =
-        std::all_of(r.cores.begin(), r.cores.end(),
-                    [](const McCoreResult &c) { return c.aloneIpc > 0; });
-    if (hasBaselines) {
-        json.add(base + "/weighted_speedup", "ratio", r.weightedSpeedup,
+    // none, and those entries are left out rather than invented.
+    if (r.weightedSpeedup)
+        json.add(base + "/weighted_speedup", "ratio", *r.weightedSpeedup,
                  "higher");
-        json.add(base + "/harmonic_speedup", "ratio", r.harmonicSpeedup,
+    if (r.harmonicSpeedup)
+        json.add(base + "/harmonic_speedup", "ratio", *r.harmonicSpeedup,
                  "higher");
-        json.add(base + "/fairness", "ratio", r.fairness, "higher");
-    }
+    if (r.fairness)
+        json.add(base + "/fairness", "ratio", *r.fairness, "higher");
     json.add(base + "/throughput", "insts/cycle", r.throughput, "higher");
     json.add(base + "/bus_accesses", "count",
              static_cast<double>(r.busAccesses), "lower");
@@ -240,8 +247,8 @@ addMcRunResult(ResultsJson &json, const McRunResult &r)
         const std::string p =
             base + "/c" + std::to_string(i) + "/" + c.program;
         json.add(p + "/ipc", "insts/cycle", c.ipc, "higher");
-        if (hasBaselines)
-            json.add(p + "/speedup", "ratio", c.speedup, "higher");
+        if (c.speedup)
+            json.add(p + "/speedup", "ratio", *c.speedup, "higher");
         json.add(p + "/bpki", "bus-accesses/kilo-inst", c.bpki, "lower");
         json.add(p + "/accuracy", "ratio", c.accuracy, "higher");
         json.add(p + "/lateness", "ratio", c.lateness, "lower");

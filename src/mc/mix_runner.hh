@@ -59,8 +59,8 @@ Table buildMixSummaryTable(const std::vector<McRunResult> &results);
 
 /**
  * Append every metric of one co-run to an fdp-results-v1 document.
- * The speedup and fairness keys are emitted only when every core has
- * an alone baseline (aloneIpc > 0), as runMixSweep results do; a bare
+ * The speedup and fairness keys are emitted only when they were
+ * computed from alone baselines, as runMixSweep results are; a bare
  * runMix result carries none.
  */
 void addMcRunResult(ResultsJson &json, const McRunResult &r);

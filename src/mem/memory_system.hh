@@ -142,11 +142,15 @@ class MemorySystem : public Auditable, public MemoryPort, public Snapshottable
     bool quiesced() const;
 
     /**
-     * Attach (or detach, with nullptr) core 0's L2 prefetcher. Used by
+     * Attach (or detach, with nullptr) @p core's L2 prefetcher. Used by
      * the warm-up boundary: the warm-up phase runs with no prefetcher so
      * the warmed state is independent of the prefetch configuration.
      */
-    void setPrefetcher(Prefetcher *pf) { prefetchers_[0] = pf; }
+    void
+    setPrefetcher(Prefetcher *pf, CoreId core = kCore0)
+    {
+        prefetchers_[core.index()] = pf;
+    }
 
     /** No-op: counters are written straight into their statistics. The
      *  repository benchmark still calls it; its next change removes

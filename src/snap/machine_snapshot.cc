@@ -86,18 +86,21 @@ captureMachine(const SnapshotParts &parts)
 {
     SnapWriter w;
     parts.events.saveState(w);
-    snapshottableWorkload(parts.workload).saveState(w);
-    parts.core.saveState(w);
+    for (const SnapshotParts::Core &c : parts.cores) {
+        snapshottableWorkload(c.workload).saveState(w);
+        c.core.saveState(w);
+    }
     parts.mem.saveState(w);
-    parts.fdp.saveState(w);
-    w.beginSection(kPfMarker);
-    w.putString(parts.prefetcher ? parts.prefetcher->snapName() : "none");
-    w.endSection();
-    if (parts.prefetcher)
-        parts.prefetcher->saveState(w);
-    parts.fdpStats.saveState(w);
-    parts.memStats.saveState(w);
-    parts.coreStats.saveState(w);
+    for (const SnapshotParts::Core &c : parts.cores) {
+        c.fdp.saveState(w);
+        w.beginSection(kPfMarker);
+        w.putString(c.prefetcher ? c.prefetcher->snapName() : "none");
+        w.endSection();
+        if (c.prefetcher)
+            c.prefetcher->saveState(w);
+    }
+    for (const StatGroup *g : parts.stats)
+        g->saveState(w);
     return SnapshotImageBody{w.bytes(), w.sectionCount()};
 }
 
@@ -107,45 +110,47 @@ restoreMachine(const SnapshotParts &parts,
 {
     SnapReader r(body);
     parts.events.loadState(r);
-    snapshottableWorkload(parts.workload).loadState(r);
-    parts.core.loadState(r);
+    for (const SnapshotParts::Core &c : parts.cores) {
+        snapshottableWorkload(c.workload).loadState(r);
+        c.core.loadState(r);
+    }
     parts.mem.loadState(r);
 
-    if (mode == RestoreMode::Fork) {
-        // The forked cell rebuilds policy state from its own
-        // configuration at the measurement boundary; skip the saved
-        // sections, still validating the frame structure.
-        r.skipSection("fdp");
-        r.skipSection("fdp/counters");
-        r.skipSection("fdp/filter");
-    } else {
-        parts.fdp.loadState(r);
-    }
+    // A forked cell rebuilds policy state from its own configuration at
+    // the measurement boundary; it skips the saved policy, prefetcher
+    // and stats sections, still validating the frame structure.
+    const bool fork = mode == RestoreMode::Fork;
+    for (const SnapshotParts::Core &c : parts.cores) {
+        if (fork) {
+            r.skipSection("fdp");
+            r.skipSection("fdp/counters");
+            r.skipSection("fdp/filter");
+        } else {
+            c.fdp.loadState(r);
+        }
 
-    r.openSection(kPfMarker);
-    const std::string pf_name = r.getString();
-    r.closeSection();
-    if (mode == RestoreMode::Fork) {
-        if (pf_name != "none")
-            r.skipSection(pf_name);
-    } else {
+        r.openSection(kPfMarker);
+        const std::string pf_name = r.getString();
+        r.closeSection();
+        if (fork) {
+            if (pf_name != "none")
+                r.skipSection(pf_name);
+            continue;
+        }
         const std::string have =
-            parts.prefetcher ? parts.prefetcher->snapName() : "none";
+            c.prefetcher ? c.prefetcher->snapName() : "none";
         if (pf_name != have)
             fatal("snapshot: machine has prefetcher %s, snapshot has %s",
                   have.c_str(), pf_name.c_str());
-        if (parts.prefetcher)
-            parts.prefetcher->loadState(r);
+        if (c.prefetcher)
+            c.prefetcher->loadState(r);
     }
 
-    if (mode == RestoreMode::Fork) {
-        r.skipSection(parts.fdpStats.snapName());
-        r.skipSection(parts.memStats.snapName());
-        r.skipSection(parts.coreStats.snapName());
-    } else {
-        parts.fdpStats.loadState(r);
-        parts.memStats.loadState(r);
-        parts.coreStats.loadState(r);
+    for (StatGroup *g : parts.stats) {
+        if (fork)
+            r.skipSection(g->snapName());
+        else
+            g->loadState(r);
     }
 
     if (!r.atEnd())

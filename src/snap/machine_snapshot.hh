@@ -4,19 +4,20 @@
  *
  * A machine snapshot is the concatenation of every stateful component's
  * Snapshottable section, in the fixed order captureMachine() writes
- * them: events, workload, core, then the memory hierarchy, the FDP
- * controller, the prefetcher (behind a "pf" marker naming it), and the
- * three stat groups. Snapshots are only taken at quiesce points — no
- * misses in flight, no queued requests, empty ROB — because in-flight
- * transactions hold closures that cannot be serialized; callers reach
- * such a point with drainToQuiesce().
+ * them: events, each core's workload and core, the memory hierarchy,
+ * each core's FDP controller and prefetcher (behind a "pf" marker
+ * naming it), and the stat groups (DESIGN.md Section 16). Snapshots
+ * are only taken at quiesce points — no misses in flight, no queued
+ * requests, empty ROBs — because in-flight transactions hold closures
+ * that cannot be serialized; callers reach such a point with
+ * drainToQuiesce().
  *
  * Restores come in two flavors:
  *  - RestoreMode::Full rebuilds every component and requires the
  *    restoring machine to match the saving one exactly (same geometry,
  *    same prefetcher);
  *  - RestoreMode::Fork restores only the config-neutral prefix (events,
- *    workload, core, memory hierarchy) and skips the FDP, prefetcher,
+ *    workloads, cores, memory hierarchy) and skips the FDP, prefetcher,
  *    and stats sections, because a warm-forked cell rebuilds those from
  *    its own configuration at the measurement boundary.
  *
@@ -31,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fdp_controller.hh"
@@ -47,15 +49,40 @@ namespace fdp
 /** Non-owning view of the components one machine snapshot covers. */
 struct SnapshotParts
 {
+    /** One core's components. */
+    struct Core
+    {
+        Workload &workload;
+        OooCore &core;
+        FdpController &fdp;
+        Prefetcher *prefetcher;  ///< nullptr when the core has none
+    };
+
+    /** Every core of a machine, in core-id order, and its stat groups
+     *  in capture order. */
+    SnapshotParts(EventQueue &events, MemorySystem &mem,
+                  std::vector<Core> cores, std::vector<StatGroup *> stats)
+        : events(events), mem(mem), cores(std::move(cores)),
+          stats(std::move(stats))
+    {
+    }
+
+    /** A one-core machine with its fdp, mem and core stat groups: the
+     *  form the repository benchmark (perfbench/) builds. ROADMAP lists
+     *  it for removal at that benchmark's next change. */
+    SnapshotParts(EventQueue &events, Workload &workload, OooCore &core,
+                  MemorySystem &mem, FdpController &fdp,
+                  Prefetcher *prefetcher, StatGroup &fdpStats,
+                  StatGroup &memStats, StatGroup &coreStats)
+        : SnapshotParts(events, mem, {{workload, core, fdp, prefetcher}},
+                        {&fdpStats, &memStats, &coreStats})
+    {
+    }
+
     EventQueue &events;
-    Workload &workload;
-    OooCore &core;
     MemorySystem &mem;
-    FdpController &fdp;
-    Prefetcher *prefetcher;  ///< nullptr when the machine has none
-    StatGroup &fdpStats;
-    StatGroup &memStats;
-    StatGroup &coreStats;
+    std::vector<Core> cores;
+    std::vector<StatGroup *> stats;
 };
 
 /** How much of a snapshot body restoreMachine() consumes. */

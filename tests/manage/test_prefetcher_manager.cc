@@ -457,13 +457,9 @@ convergenceWins(const std::string &bench, std::uint64_t insts)
     c.fdp.intervalEvictions = 1024;
     c.numInsts = insts;
     auto workload = makeBenchmark(bench);
-    SimMachine m(*workload, c);
-    AuditSet audits;
-    const bool periodic = wireAudits(m, audits);
-    m.core.run(c.numInsts);
-    if (periodic)
-        audits.runAll();
-    auto *mgr = dynamic_cast<ManagedPrefetcher *>(m.prefetcher.get());
+    Machine m({workload.get()}, c);
+    runMachine(m, c, runSingleCore);
+    auto *mgr = dynamic_cast<ManagedPrefetcher *>(m.prefetchers[0].get());
     EXPECT_NE(mgr, nullptr);
     std::vector<std::uint64_t> wins;
     for (std::size_t i = 0; i < mgr->zooSize(); ++i)

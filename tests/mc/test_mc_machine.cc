@@ -36,20 +36,24 @@ benchMix(const char *name, std::vector<std::string> benches)
     return spec;
 }
 
-/** A 1-core co-run must reproduce the single-core machine exactly. */
+/** A 1-core co-run must reproduce the single-core machine exactly,
+ *  from reset or after @p warmup unmeasured micro-ops. */
 void
-expectSingleCoreParity(const RunConfig &base, const char *bench)
+expectSingleCoreParity(const RunConfig &base, const char *bench,
+                       std::uint64_t warmup = 0)
 {
     RunConfig cfg = base;
     cfg.numInsts = 60'000;
+    cfg.warmupInsts = warmup;
     const RunResult single = runBenchmark(bench, cfg, "single");
 
-    const McRunConfig mc = mcConfig(base, 1, 60'000);
+    const McRunConfig mc = mcConfig(cfg, 1, 60'000);
     const McRunResult corun =
         runMix(benchMix("parity", {bench}), mc, "mc");
 
     ASSERT_EQ(corun.cores.size(), 1u);
     const McCoreResult &c = corun.cores[0];
+    EXPECT_EQ(c.program, single.benchmark);
     EXPECT_EQ(c.insts, single.insts);
     EXPECT_EQ(c.cycles, single.cycles);
     EXPECT_EQ(c.busAccesses, single.busAccesses);
@@ -58,6 +62,7 @@ expectSingleCoreParity(const RunConfig &base, const char *bench)
     EXPECT_EQ(c.prefSent, single.prefSent);
     EXPECT_EQ(c.prefUsed, single.prefUsed);
     EXPECT_DOUBLE_EQ(c.ipc, single.ipc);
+    EXPECT_DOUBLE_EQ(c.bpki, single.bpki);
     EXPECT_DOUBLE_EQ(c.accuracy, single.accuracy);
     EXPECT_DOUBLE_EQ(c.lateness, single.lateness);
     EXPECT_DOUBLE_EQ(c.pollution, single.pollution);
@@ -78,30 +83,42 @@ TEST(McMachine, OneCoreParityNoPrefetching)
     expectSingleCoreParity(RunConfig::noPrefetching(), "mcf");
 }
 
+TEST(McMachine, OneCoreParityWarmedFullFdp)
+{
+    // The co-run warm-up and boundary are the single-core ones.
+    expectSingleCoreParity(RunConfig::fullFdp(), "swim", 40'000);
+}
+
 TEST(McMachine, TwoCoreRunHasSaneShape)
 {
-    const McRunConfig cfg =
-        mcConfig(RunConfig::fullFdp(), 2, 40'000);
-    const McRunResult r =
-        runMix(benchMix("shape", {"swim", "art"}), cfg, "fdp");
-    ASSERT_EQ(r.cores.size(), 2u);
-    EXPECT_EQ(r.numCores, 2u);
-    EXPECT_EQ(r.cores[0].program, "swim");
-    EXPECT_EQ(r.cores[1].program, "art");
-    double ipcSum = 0.0;
-    std::uint64_t maxCycles = 0, busSum = 0;
-    for (const McCoreResult &c : r.cores) {
-        EXPECT_EQ(c.insts, 40'000u);  // every core retires its budget
-        EXPECT_GT(c.cycles, 0u);
-        EXPECT_GT(c.ipc, 0.0);
-        ipcSum += c.ipc;
-        maxCycles = std::max(maxCycles, c.cycles);
-        busSum += c.busAccesses;
+    // From reset and after a warm-up, which moves the measured window.
+    std::vector<std::uint64_t> runCycles;
+    for (const std::uint64_t warmup : {0, 30'000}) {
+        McRunConfig cfg = mcConfig(RunConfig::fullFdp(), 2, 40'000);
+        cfg.base.warmupInsts = warmup;
+        const McRunResult r =
+            runMix(benchMix("shape", {"swim", "art"}), cfg, "fdp");
+        ASSERT_EQ(r.cores.size(), 2u);
+        EXPECT_EQ(r.numCores, 2u);
+        EXPECT_EQ(r.cores[0].program, "swim");
+        EXPECT_EQ(r.cores[1].program, "art");
+        double ipcSum = 0.0;
+        std::uint64_t maxCycles = 0, busSum = 0;
+        for (const McCoreResult &c : r.cores) {
+            EXPECT_EQ(c.insts, 40'000u);  // every core retires its budget
+            EXPECT_GT(c.cycles, 0u);
+            EXPECT_GT(c.ipc, 0.0);
+            ipcSum += c.ipc;
+            maxCycles = std::max(maxCycles, c.cycles);
+            busSum += c.busAccesses;
+        }
+        EXPECT_DOUBLE_EQ(r.throughput, ipcSum);
+        EXPECT_EQ(r.cycles, maxCycles);
+        // Every bus access belongs to exactly one core.
+        EXPECT_EQ(busSum, r.busAccesses);
+        runCycles.push_back(r.cycles);
     }
-    EXPECT_DOUBLE_EQ(r.throughput, ipcSum);
-    EXPECT_EQ(r.cycles, maxCycles);
-    // Every bus access belongs to exactly one core.
-    EXPECT_EQ(busSum, r.busAccesses);
+    EXPECT_NE(runCycles[0], runCycles[1]);
 }
 
 TEST(McMachine, CoRunsAreDeterministic)

@@ -49,12 +49,13 @@ TEST(McMetrics, FinalizeSpeedupsFillsEveryDerivedField)
     r.cores[0].ipc = 0.5;
     r.cores[1].ipc = 0.9;
     finalizeSpeedups(r, {1.0, 1.2});
-    EXPECT_DOUBLE_EQ(r.cores[0].aloneIpc, 1.0);
-    EXPECT_DOUBLE_EQ(r.cores[0].speedup, 0.5);
-    EXPECT_DOUBLE_EQ(r.cores[1].speedup, 0.75);
-    EXPECT_DOUBLE_EQ(r.weightedSpeedup, 1.25);
-    EXPECT_DOUBLE_EQ(r.harmonicSpeedup, 2.0 / (1.0 / 0.5 + 1.0 / 0.75));
-    EXPECT_DOUBLE_EQ(r.fairness, 0.5 / 0.75);
+    EXPECT_DOUBLE_EQ(r.cores[0].aloneIpc.value(), 1.0);
+    EXPECT_DOUBLE_EQ(r.cores[0].speedup.value(), 0.5);
+    EXPECT_DOUBLE_EQ(r.cores[1].speedup.value(), 0.75);
+    EXPECT_DOUBLE_EQ(r.weightedSpeedup.value(), 1.25);
+    EXPECT_DOUBLE_EQ(r.harmonicSpeedup.value(),
+                     2.0 / (1.0 / 0.5 + 1.0 / 0.75));
+    EXPECT_DOUBLE_EQ(r.fairness.value(), 0.5 / 0.75);
 }
 
 TEST(McMetrics, FinalizeSpeedupsRejectsSizeMismatch)

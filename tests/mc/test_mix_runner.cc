@@ -55,17 +55,15 @@ expectIdenticalResults(const std::vector<McRunResult> &a,
     for (std::size_t c = 0; c < a.size(); ++c) {
         EXPECT_EQ(a[c].cycles, b[c].cycles);
         EXPECT_EQ(a[c].busAccesses, b[c].busAccesses);
-        EXPECT_DOUBLE_EQ(a[c].weightedSpeedup, b[c].weightedSpeedup);
-        EXPECT_DOUBLE_EQ(a[c].harmonicSpeedup, b[c].harmonicSpeedup);
-        EXPECT_DOUBLE_EQ(a[c].fairness, b[c].fairness);
+        EXPECT_EQ(a[c].weightedSpeedup, b[c].weightedSpeedup);
+        EXPECT_EQ(a[c].harmonicSpeedup, b[c].harmonicSpeedup);
+        EXPECT_EQ(a[c].fairness, b[c].fairness);
         ASSERT_EQ(a[c].cores.size(), b[c].cores.size());
         for (std::size_t i = 0; i < a[c].cores.size(); ++i) {
             EXPECT_EQ(a[c].cores[i].cycles, b[c].cores[i].cycles);
             EXPECT_DOUBLE_EQ(a[c].cores[i].ipc, b[c].cores[i].ipc);
-            EXPECT_DOUBLE_EQ(a[c].cores[i].aloneIpc,
-                             b[c].cores[i].aloneIpc);
-            EXPECT_DOUBLE_EQ(a[c].cores[i].speedup,
-                             b[c].cores[i].speedup);
+            EXPECT_EQ(a[c].cores[i].aloneIpc, b[c].cores[i].aloneIpc);
+            EXPECT_EQ(a[c].cores[i].speedup, b[c].cores[i].speedup);
         }
     }
 }
@@ -87,16 +85,16 @@ TEST(MixRunner, SpeedupsComeOutFinalized)
     ASSERT_EQ(results.size(), 2u);
     for (const McRunResult &r : results) {
         for (const McCoreResult &c : r.cores) {
-            EXPECT_GT(c.aloneIpc, 0.0);
-            EXPECT_GT(c.speedup, 0.0);
+            EXPECT_GT(c.aloneIpc.value(), 0.0);
+            EXPECT_GT(c.speedup.value(), 0.0);
             // Sharing the hierarchy cannot beat running alone.
-            EXPECT_LE(c.speedup, 1.0);
+            EXPECT_LE(c.speedup.value(), 1.0);
         }
-        EXPECT_GT(r.weightedSpeedup, 0.0);
-        EXPECT_LE(r.weightedSpeedup, 2.0);
-        EXPECT_GT(r.harmonicSpeedup, 0.0);
-        EXPECT_GT(r.fairness, 0.0);
-        EXPECT_LE(r.fairness, 1.0);
+        EXPECT_GT(r.weightedSpeedup.value(), 0.0);
+        EXPECT_LE(r.weightedSpeedup.value(), 2.0);
+        EXPECT_GT(r.harmonicSpeedup.value(), 0.0);
+        EXPECT_GT(r.fairness.value(), 0.0);
+        EXPECT_LE(r.fairness.value(), 1.0);
     }
 }
 
@@ -109,8 +107,8 @@ TEST(MixRunner, DuplicateProgramsShareOneBaselinePerSeed)
     const auto results = runMixSweep(
         spec, {labeled("fdp", RunConfig::fullFdp(), 2, 25'000)}, 2);
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_GT(results[0].cores[0].aloneIpc, 0.0);
-    EXPECT_GT(results[0].cores[1].aloneIpc, 0.0);
+    EXPECT_GT(results[0].cores[0].aloneIpc.value(), 0.0);
+    EXPECT_GT(results[0].cores[1].aloneIpc.value(), 0.0);
 }
 
 TEST(MixRunner, TablesCoverEveryConfigAndCore)

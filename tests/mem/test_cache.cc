@@ -155,7 +155,7 @@ TEST(Cache, InsertionPositionsInFullSet)
     // 8-way set filled with demand blocks 0..7 (7 is MRU). Insert at each
     // position and verify the resulting stack depth.
     const std::size_t sets = 2;
-    for (const auto [pos, want] :
+    for (const auto &[pos, want] :
          {std::pair{InsertPos::Lru, 0u}, std::pair{InsertPos::Lru4, 2u},
           std::pair{InsertPos::Mid, 4u}, std::pair{InsertPos::Mru, 7u}}) {
         SetAssocCache c(smallCache(8, sets));
@@ -321,7 +321,7 @@ class ReferenceLruCache
             way_idx = set.stack.front();
             set.stack.erase(set.stack.begin());
             const Way &v = set.ways[way_idx];
-            victim = {true, v.block, v.prefBit, v.dirty};
+            victim = {true, v.block, v.prefBit, v.dirty, kCore0};
         } else {
             way_idx = 0;
             while (set.ways[way_idx].valid)
@@ -343,7 +343,7 @@ class ReferenceLruCache
         if (w < 0)
             return {};
         Way &way = set.ways[static_cast<std::size_t>(w)];
-        CacheVictim victim{true, way.block, way.prefBit, way.dirty};
+        CacheVictim victim{true, way.block, way.prefBit, way.dirty, kCore0};
         way = Way{};
         set.stack.erase(std::find(set.stack.begin(), set.stack.end(),
                                   static_cast<std::uint8_t>(w)));

@@ -1,8 +1,9 @@
 /**
  * @file
  * Whole-machine capture/restore: the round-trip determinism contract.
- * A restored machine is byte-indistinguishable from the original
- * (save -> restore -> re-save produces identical bytes), and running
+ * A restored machine, of one core or several, is byte-indistinguishable
+ * from the original (save -> restore -> re-save produces identical
+ * bytes), and running
  * both onward stays bit-identical. Mismatched restores (wrong
  * prefetcher, trailing bytes, recording frontends) die cleanly.
  */
@@ -10,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "mc/mc_machine.hh"
 #include "snap/machine_snapshot.hh"
 #include "trace/trace_workload.hh"
 #include "trace/trace_writer.hh"
@@ -33,29 +36,46 @@ testConfig()
     return c;
 }
 
-/** Run @p insts micro-ops, drain, and capture. */
+/** Run @p insts micro-ops on every core, drain, and capture. */
 SnapshotImageBody
-runAndCapture(SimMachine &m, std::uint64_t insts)
+runAndCapture(Machine &m, std::uint64_t insts,
+              MachineDriver drive = runSingleCore)
 {
-    m.core.run(insts);
+    drive(m, insts);
     drainToQuiesce(m.events, m.mem);
     return captureMachine(m.parts());
 }
 
-TEST(MachineSnapshot, SaveRestoreResaveIsByteIdentical)
+/** Run @p benches (one per core) under @p drive, capture, restore into
+ *  a fresh machine, and re-capture: the bytes must not change. */
+void
+expectResaveIsByteIdentical(const std::vector<std::string> &benches,
+                            MachineDriver drive)
 {
     const RunConfig config = testConfig();
-    SyntheticWorkload w1(benchmarkParams("swim"));
-    SimMachine m1(w1, config);
-    const SnapshotImageBody saved = runAndCapture(m1, 150'000);
+    std::deque<SyntheticWorkload> w1, w2;
+    std::vector<Workload *> p1, p2;
+    for (const std::string &b : benches) {
+        p1.push_back(&w1.emplace_back(benchmarkParams(b)));
+        p2.push_back(&w2.emplace_back(benchmarkParams(b)));
+    }
+    Machine m1(p1, config);
+    const SnapshotImageBody saved = runAndCapture(m1, 150'000, drive);
 
-    SyntheticWorkload w2(benchmarkParams("swim"));
-    SimMachine m2(w2, config);
+    Machine m2(p2, config);
     restoreMachine(m2.parts(), saved.bytes, RestoreMode::Full);
     const SnapshotImageBody resaved = captureMachine(m2.parts());
 
     EXPECT_EQ(saved.sectionCount, resaved.sectionCount);
     EXPECT_EQ(saved.bytes, resaved.bytes);
+}
+
+TEST(MachineSnapshot, SaveRestoreResaveIsByteIdentical)
+{
+    expectResaveIsByteIdentical({"swim"}, runSingleCore);
+    // Two cores under the co-run driver: every core's workload, core,
+    // controller and prefetcher sections and the c0/c1 groups.
+    expectResaveIsByteIdentical({"swim", "art"}, runLockstep);
 }
 
 TEST(MachineSnapshot, ManagedMachineRoundTripsAndContinues)
@@ -67,13 +87,13 @@ TEST(MachineSnapshot, ManagedMachineRoundTripsAndContinues)
     config.manager = ManagerKind::Explore;
     config.fdp.intervalEvictions = 1024;  // several manager ticks
     SyntheticWorkload w1(benchmarkParams("swim"));
-    SimMachine m1(w1, config);
+    Machine m1({&w1}, config);
     AuditSet audits1;
     wireAudits(m1, audits1);  // installs the manager's interval hook
     const SnapshotImageBody saved = runAndCapture(m1, 120'000);
 
     SyntheticWorkload w2(benchmarkParams("swim"));
-    SimMachine m2(w2, config);
+    Machine m2({&w2}, config);
     AuditSet audits2;
     wireAudits(m2, audits2);
     restoreMachine(m2.parts(), saved.bytes, RestoreMode::Full);
@@ -88,11 +108,11 @@ TEST(MachineSnapshot, RestoredMachineContinuesBitIdentically)
 {
     const RunConfig config = testConfig();
     SyntheticWorkload w1(benchmarkParams("art"));
-    SimMachine m1(w1, config);
+    Machine m1({&w1}, config);
     const SnapshotImageBody saved = runAndCapture(m1, 100'000);
 
     SyntheticWorkload w2(benchmarkParams("art"));
-    SimMachine m2(w2, config);
+    Machine m2({&w2}, config);
     restoreMachine(m2.parts(), saved.bytes, RestoreMode::Full);
 
     // Both machines run the same continuation; their complete state
@@ -100,8 +120,8 @@ TEST(MachineSnapshot, RestoredMachineContinuesBitIdentically)
     const SnapshotImageBody after1 = runAndCapture(m1, 100'000);
     const SnapshotImageBody after2 = runAndCapture(m2, 100'000);
     EXPECT_EQ(after1.bytes, after2.bytes);
-    EXPECT_EQ(m1.core.retired(), m2.core.retired());
-    EXPECT_EQ(m1.core.cycles(), m2.core.cycles());
+    EXPECT_EQ(m1.cores[0].retired(), m2.cores[0].retired());
+    EXPECT_EQ(m1.cores[0].cycles(), m2.cores[0].cycles());
 }
 
 TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
@@ -119,8 +139,8 @@ TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
 
     // Cold reference: warm in place with the prefetcher detached.
     SyntheticWorkload w1(benchmarkParams("swim"));
-    SimMachine m1(w1, fdp);
-    m1.core.run(fdp.warmupInsts);
+    Machine m1({&w1}, fdp);
+    runSingleCore(m1, fdp.warmupInsts);
     measurementBoundary(m1);
     const SnapshotImageBody end1 = runAndCapture(m1, fdp.numInsts);
 
@@ -131,11 +151,11 @@ TEST(MachineSnapshot, ForkRestoreMatchesInPlaceWarmup)
     neutral.core = fdp.core;
     neutral.warmupInsts = fdp.warmupInsts;
     SyntheticWorkload wn(benchmarkParams("swim"));
-    SimMachine mn(wn, neutral);
+    Machine mn({&wn}, neutral);
     const SnapshotImageBody saved = runAndCapture(mn, fdp.warmupInsts);
 
     SyntheticWorkload w2(benchmarkParams("swim"));
-    SimMachine m2(w2, fdp);
+    Machine m2({&w2}, fdp);
     restoreMachine(m2.parts(), saved.bytes, RestoreMode::Fork);
     measurementBoundary(m2);
     const SnapshotImageBody end2 = runAndCapture(m2, fdp.numInsts);
@@ -157,13 +177,13 @@ TEST_F(MachineSnapshotDeath, FullRestoreWithWrongPrefetcherIsFatal)
 {
     RunConfig stream = testConfig();  // stream prefetcher
     SyntheticWorkload w1(benchmarkParams("swim"));
-    SimMachine m1(w1, stream);
+    Machine m1({&w1}, stream);
     const SnapshotImageBody saved = runAndCapture(m1, 50'000);
 
     RunConfig ghb = testConfig();
     ghb.prefetcher = PrefetcherKind::GhbCdc;
     SyntheticWorkload w2(benchmarkParams("swim"));
-    SimMachine m2(w2, ghb);
+    Machine m2({&w2}, ghb);
     EXPECT_EXIT(restoreMachine(m2.parts(), saved.bytes, RestoreMode::Full),
                 testing::ExitedWithCode(1), "prefetcher");
 }
@@ -172,12 +192,12 @@ TEST_F(MachineSnapshotDeath, TrailingBytesAreFatal)
 {
     const RunConfig config = testConfig();
     SyntheticWorkload w1(benchmarkParams("swim"));
-    SimMachine m1(w1, config);
+    Machine m1({&w1}, config);
     SnapshotImageBody saved = runAndCapture(m1, 50'000);
     saved.bytes.push_back(0);  // one stray byte after the last section
 
     SyntheticWorkload w2(benchmarkParams("swim"));
-    SimMachine m2(w2, config);
+    Machine m2({&w2}, config);
     EXPECT_EXIT(restoreMachine(m2.parts(), saved.bytes, RestoreMode::Full),
                 testing::ExitedWithCode(1), "trailing bytes");
 }
@@ -190,10 +210,10 @@ TEST_F(MachineSnapshotDeath, RecordingWorkloadCannotSnapshot)
     SyntheticWorkload inner(benchmarkParams("swim"));
     TraceWriter writer(path, "swim", benchmarkParams("swim").seed);
     RecordingWorkload recorder(inner, writer);
-    SimMachine m(recorder, config);
+    Machine m({&recorder}, config);
     EXPECT_EXIT(
         {
-            m.core.run(10'000);
+            runSingleCore(m, 10'000);
             drainToQuiesce(m.events, m.mem);
             captureMachine(m.parts());
         },

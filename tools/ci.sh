@@ -149,7 +149,19 @@ stage_tier1() {
         > "$mdir/jobs4.out" 2> /dev/null
     diff "$mdir/jobs1.out" "$mdir/jobs4.out"
     diff "$mdir/jobs1.json" "$mdir/jobs4.json"
-    echo "mix smoke: co-run bit-identical across --jobs 1 and --jobs 4"
+    # The same mix after a warm-up: every core retires 50000 unmeasured
+    # micro-ops before the one measurement boundary. The --jobs 1 run
+    # is audited at every sampling interval and at the end of each run.
+    FDP_AUDIT=1 "$ROOT/build-ci/bench/fdp_sim" --cores 2 \
+        --mix mix2-stream --warmup 50000 --insts 100000 --jobs 1 \
+        --out "$mdir/warm-jobs1.json" > "$mdir/warm-jobs1.out" 2> /dev/null
+    "$ROOT/build-ci/bench/fdp_sim" --cores 2 --mix mix2-stream \
+        --warmup 50000 --insts 100000 --jobs 4 \
+        --out "$mdir/warm-jobs4.json" > "$mdir/warm-jobs4.out" 2> /dev/null
+    diff "$mdir/warm-jobs1.out" "$mdir/warm-jobs4.out"
+    diff "$mdir/warm-jobs1.json" "$mdir/warm-jobs4.json"
+    echo "mix smoke: co-run bit-identical across --jobs 1 and --jobs 4," \
+        "cold and warmed (audited at --jobs 1)"
 
     echo "==== stage tier1: manager determinism smoke ===="
     # The adaptive prefetcher manager explores/exploits off interval

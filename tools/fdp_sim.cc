@@ -121,9 +121,10 @@ usage()
         "  --store DIR         persist per-run results in a result store\n"
         "  --resume            serve runs already in --store DIR from it\n"
         "                      (stdout stays bit-identical to a cold run)\n"
-        "  --warmup N          run N unmeasured micro-ops first (stats\n"
-        "                      reset at the measurement boundary; sweeps\n"
-        "                      share one warm-up per benchmark)\n"
+        "  --warmup N          run N unmeasured micro-ops first, per\n"
+        "                      core with --mix (stats reset at the\n"
+        "                      measurement boundary; sweeps share one\n"
+        "                      warm-up per benchmark)\n"
         "  --save-snap PATH    warm up (needs --warmup and exactly one\n"
         "                      --bench), write an fdpsnap-v1 image, exit\n"
         "  --load-snap PATH    fork the measured run from a saved image\n"
@@ -274,9 +275,6 @@ parse(int argc, char **argv)
                   "--mix/--store");
     }
     if (!o.mix.empty()) {
-        if (o.warmup != 0)
-            fatal("--warmup applies to single-core runs; --mix co-runs "
-                  "do not support it yet");
         if (!o.benches.empty())
             fatal("--mix defines the per-core programs; drop "
                   "--bench/--all");
@@ -348,7 +346,7 @@ buildConfig(const Options &o)
             // off | cap:<n> | weighted | cap:<n>+weighted
             std::string spec = o.qos;
             const std::size_t plus = spec.find('+');
-            for (const std::string part :
+            for (const std::string &part :
                  {spec.substr(0, plus),
                   plus == std::string::npos ? std::string()
                                             : spec.substr(plus + 1)}) {
