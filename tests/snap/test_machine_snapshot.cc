@@ -3,9 +3,9 @@
  * Whole-machine capture/restore: the round-trip determinism contract.
  * A restored machine, of one core or several, is byte-indistinguishable
  * from the original (save -> restore -> re-save produces identical
- * bytes), and running
- * both onward stays bit-identical. Mismatched restores (wrong
- * prefetcher, trailing bytes, recording frontends) die cleanly.
+ * bytes), and running both onward stays bit-identical. Mismatched
+ * restores (wrong prefetcher, trailing bytes, recording frontends) die
+ * cleanly.
  */
 
 #include <gtest/gtest.h>
