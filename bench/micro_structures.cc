@@ -210,6 +210,49 @@ BM_StreamPrefetcherObserve(benchmark::State &state)
 BENCHMARK(BM_StreamPrefetcherObserve)->Arg(1)->Arg(5);
 
 void
+BM_StreamPrefetcherManyStreams(benchmark::State &state)
+{
+    // Shaped like art in a full run, where one steady stream is not
+    // representative: 24 monitored streams, and about 96% of
+    // observations are L2 hits outside every region. Every 33rd
+    // observation is the next stream's demand, round robin, so every
+    // stream stays inside the activity window (the pacing share, and so
+    // the region size, stays fixed) and none ages into the LRU victim;
+    // a trigger slides a region by the degree, so each demand steps by
+    // the degree. The rest are seeded stray accesses above the streams,
+    // 1% of them misses, which allocate entries that never train.
+    constexpr unsigned kStreams = 24;
+    StreamPrefetcher pf;
+    pf.setAggressiveness(3);
+    Rng rng(7);
+    std::vector<BlockAddr> out;
+    std::array<BlockAddr, kStreams> demand{};
+    for (BlockAddr &d : demand) {
+        d = (BlockAddr{1} << 20) + rng.range(BlockAddr{1} << 24);
+        for (int i = 0; i < 3; ++i, ++d)
+            pf.observe({blockBase(d), d, 0x10, true}, out);
+    }
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        out.clear();
+        if (++n % 33 == 0) {
+            BlockAddr &d = demand[(n / 33) % kStreams];
+            pf.observe({blockBase(d), d, 0x10, false}, out);
+            d += pf.degree();
+        } else {
+            const BlockAddr b =
+                (BlockAddr{1} << 25) + rng.range(BlockAddr{1} << 25);
+            pf.observe({blockBase(b), b, 0x10, rng.range(100) == 0}, out);
+        }
+        benchmark::DoNotOptimize(out.size());
+    }
+    if (pf.numMonitoringStreams() != kStreams ||
+        pf.numActiveStreams() != kStreams)
+        state.SkipWithError("a monitored stream was lost");
+}
+BENCHMARK(BM_StreamPrefetcherManyStreams);
+
+void
 BM_StreamFsmTransition(benchmark::State &state)
 {
     // The training half of the stream FSM: a fresh region every third

@@ -1,6 +1,7 @@
 #include "prefetch/stream_prefetcher.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -8,12 +9,24 @@
 namespace fdp
 {
 
+namespace
+{
+
+std::uint64_t
+entryBit(unsigned idx)
+{
+    return std::uint64_t{1} << idx;
+}
+
+} // namespace
+
 StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherParams &params)
     : params_(params), level_(params.initialLevel),
-      entries_(params.numStreams)
+      entries_(params.numStreams), spans_(params.numStreams)
 {
-    if (params_.numStreams == 0)
-        fatal("stream prefetcher needs at least one tracking entry");
+    if (params_.numStreams == 0 || params_.numStreams > kMaxStreams)
+        fatal("stream prefetcher needs 1..%u tracking entries, got %u",
+              kMaxStreams, params_.numStreams);
     setAggressiveness(params_.initialLevel);
 }
 
@@ -31,23 +44,7 @@ StreamPrefetcher::reset()
     for (auto &e : entries_)
         e = Entry{};
     tick_ = 0;
-    monitorIdx_.clear();
-}
-
-void
-StreamPrefetcher::addMonitor(unsigned idx)
-{
-    monitorIdx_.insert(
-        std::lower_bound(monitorIdx_.begin(), monitorIdx_.end(), idx), idx);
-}
-
-void
-StreamPrefetcher::removeMonitor(unsigned idx)
-{
-    const auto it =
-        std::lower_bound(monitorIdx_.begin(), monitorIdx_.end(), idx);
-    if (it != monitorIdx_.end() && *it == idx)
-        monitorIdx_.erase(it);
+    rebuildIndex();
 }
 
 bool
@@ -65,6 +62,69 @@ StreamPrefetcher::inTrainWindow(const Entry &e, std::int64_t block) const
            static_cast<std::int64_t>(params_.trainWindow);
 }
 
+StreamPrefetcher::BucketSpan
+StreamPrefetcher::captureSpan(const Entry &e) const
+{
+    const auto w = static_cast<std::int64_t>(params_.trainWindow);
+    switch (e.state) {
+      case State::MonitorRequest:
+        return {(std::min(e.startPtr, e.endPtr) - w) >> kBucketShift,
+                (std::max(e.startPtr, e.endPtr) + w) >> kBucketShift};
+      case State::Allocated:
+      case State::Training:
+        return {(e.firstMiss - w) >> kBucketShift,
+                (e.firstMiss + w) >> kBucketShift};
+      default:
+        return {};
+    }
+}
+
+void
+StreamPrefetcher::markSpan(IndexSlots &slots, std::uint64_t bit,
+                           const BucketSpan &span, bool on)
+{
+    if (span.lo > span.hi)
+        return;
+    // Buckets are blocks >> 6, so the difference cannot overflow. Past
+    // kIndexSlots buckets the span wraps onto every slot.
+    const std::uint64_t n = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(span.hi - span.lo) + 1, kIndexSlots);
+    for (std::uint64_t k = 0; k < n; ++k) {
+        std::uint64_t &slot =
+            slots[slotOf(span.lo + static_cast<std::int64_t>(k))];
+        slot = on ? slot | bit : slot & ~bit;
+    }
+}
+
+void
+StreamPrefetcher::reindex(unsigned idx)
+{
+    const BucketSpan span = captureSpan(entries_[idx]);
+    BucketSpan &indexed = spans_[idx];
+    if (span == indexed)
+        return;
+    markSpan(slots_, entryBit(idx), indexed, false);
+    markSpan(slots_, entryBit(idx), span, true);
+    indexed = span;
+}
+
+void
+StreamPrefetcher::rebuildIndex()
+{
+    slots_.fill(0);
+    spans_.assign(entries_.size(), BucketSpan{});
+    monitorMask_ = 0;
+    trainMask_ = 0;
+    for (unsigned i = 0; i < entries_.size(); ++i) {
+        const State st = entries_[i].state;
+        if (st == State::MonitorRequest)
+            monitorMask_ |= entryBit(i);
+        else if (st == State::Allocated || st == State::Training)
+            trainMask_ |= entryBit(i);
+        reindex(i);
+    }
+}
+
 unsigned
 StreamPrefetcher::effectiveDistance() const
 {
@@ -75,9 +135,10 @@ StreamPrefetcher::effectiveDistance() const
 }
 
 void
-StreamPrefetcher::issueFromEntry(Entry &e, std::vector<BlockAddr> &out,
+StreamPrefetcher::issueFromEntry(unsigned idx, std::vector<BlockAddr> &out,
                                  std::size_t budget)
 {
+    Entry &e = entries_[idx];
     const std::int64_t n = std::min<std::int64_t>(
         degree(), static_cast<std::int64_t>(
                       std::min<std::size_t>(budget, kMaxAggrLevel * 64)));
@@ -106,13 +167,15 @@ StreamPrefetcher::issueFromEntry(Entry &e, std::vector<BlockAddr> &out,
     e.endPtr += e.dir * n;
     if (size >= dist)
         e.startPtr += e.dir * n;
+    reindex(idx);
 }
 
 void
-StreamPrefetcher::startRamp(Entry &e, std::int64_t region_start,
+StreamPrefetcher::startRamp(unsigned idx, std::int64_t region_start,
                             std::int64_t ramp_from,
                             std::vector<BlockAddr> &out, std::size_t budget)
 {
+    Entry &e = entries_[idx];
     // The start-up window is what establishes the prefetch distance:
     // degree-per-trigger alone can never open a gap because triggers
     // arrive once per consumed block (paper footnote 5).
@@ -127,6 +190,7 @@ StreamPrefetcher::startRamp(Entry &e, std::int64_t region_start,
         out.push_back(static_cast<BlockAddr>(pf));
     }
     e.endPtr = ramp_from + e.dir * startup;
+    reindex(idx);
 }
 
 unsigned
@@ -155,15 +219,18 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
     // overtaken the region (the ramp was starved of queue budget, or
     // prefetches were dropped) re-anchors the stream and restarts the
     // ramp - otherwise the entry silently dies and coverage collapses.
-    // Both monitor-state scans walk monitorIdx_, which lists exactly
-    // the Monitor-and-Request entries in table order: same visit order
-    // as a full scan, without touching the other states' entries.
+    // Every scan below visits only the candidates the index names for
+    // this block's slot, in ascending entry order: the exact tests then
+    // pick the same first match a full table scan would.
+    const std::uint64_t near = slots_[slotOf(block >> kBucketShift)];
+    const std::uint64_t monitors = near & monitorMask_;
     const auto w = static_cast<std::int64_t>(params_.trainWindow);
-    for (const std::uint32_t i : monitorIdx_) {
+    for (std::uint64_t m = monitors; m != 0; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
         Entry &e = entries_[i];
         if (inMonitorRegion(e, block)) {
             e.lastUse = tick_;
-            issueFromEntry(e, out, budget);
+            issueFromEntry(i, out, budget);
             return;
         }
         const std::int64_t front = e.dir > 0
@@ -172,7 +239,7 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
         const std::int64_t overshoot = (block - front) * e.dir;
         if (obs.miss && overshoot > 0 && overshoot <= w) {
             e.lastUse = tick_;
-            startRamp(e, block, block, out, budget);
+            startRamp(i, block, block, out, budget);
             return;
         }
     }
@@ -185,8 +252,8 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
     // behind the start pointer): it must not allocate a duplicate
     // tracking entry, which would train a redundant stream and flood
     // the prefetch request queue with copies.
-    for (const std::uint32_t i : monitorIdx_) {
-        Entry &e = entries_[i];
+    for (std::uint64_t m = monitors; m != 0; m &= m - 1) {
+        Entry &e = entries_[std::countr_zero(m)];
         const std::int64_t lo = std::min(e.startPtr, e.endPtr) - w;
         const std::int64_t hi = std::max(e.startPtr, e.endPtr) + w;
         if (block >= lo && block <= hi) {
@@ -196,10 +263,9 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
     }
 
     // Misses train an existing Allocated/Training entry...
-    for (unsigned i = 0; i < entries_.size(); ++i) {
+    for (std::uint64_t m = near & trainMask_; m != 0; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
         Entry &e = entries_[i];
-        if (e.state != State::Allocated && e.state != State::Training)
-            continue;
         if (!inTrainWindow(e, block))
             continue;
 
@@ -223,23 +289,27 @@ StreamPrefetcher::doObserve(const PrefetchObservation &obs,
             return;
         }
 
+        // Join the monitor mask before the ramp: the new stream counts
+        // toward the pacing share of its own start-up window.
         e.state = State::MonitorRequest;
-        addMonitor(i);
+        trainMask_ &= ~entryBit(i);
+        monitorMask_ |= entryBit(i);
         // The region begins at the allocating miss (paper footnote 5).
-        startRamp(e, e.firstMiss, block, out, budget);
+        startRamp(i, e.firstMiss, block, out, budget);
         return;
     }
 
     // ...or allocate a fresh entry when no tracking entry matches.
     const unsigned vi = allocateEntry();
     Entry &e = entries_[vi];
-    if (e.state == State::MonitorRequest)
-        removeMonitor(vi);
     e = Entry{};
     e.state = State::Allocated;
     e.firstMiss = block;
     e.lastMiss = block;
     e.lastUse = tick_;
+    monitorMask_ &= ~entryBit(vi);
+    trainMask_ |= entryBit(vi);
+    reindex(vi);
 }
 
 void
@@ -276,20 +346,45 @@ StreamPrefetcher::audit() const
                        static_cast<long long>(e.endPtr), e.dir);
     }
 
-    // Monitor-list consistency: recount the table and require the
-    // derived sorted index list to name exactly the monitoring entries.
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].state != State::MonitorRequest)
-            continue;
-        FDP_ASSERT(pos < monitorIdx_.size() && monitorIdx_[pos] == i,
-                   "%s: monitoring entry %zu missing from the monitor "
-                   "list", auditName(), i);
-        ++pos;
+    // Index consistency: recount both state masks and every slot's
+    // entry bits from the table alone.
+    IndexSlots expect{};
+    for (unsigned i = 0; i < entries_.size(); ++i) {
+        const State st = entries_[i].state;
+        const bool monitoring = st == State::MonitorRequest;
+        const bool training = st == State::Allocated || st == State::Training;
+        FDP_ASSERT(((monitorMask_ & entryBit(i)) != 0) == monitoring,
+                   "%s: monitor mask bit of entry %u disagrees with its "
+                   "state %u", auditName(), i, static_cast<unsigned>(st));
+        FDP_ASSERT(((trainMask_ & entryBit(i)) != 0) == training,
+                   "%s: training mask bit of entry %u disagrees with its "
+                   "state %u", auditName(), i, static_cast<unsigned>(st));
+        const BucketSpan span = captureSpan(entries_[i]);
+        FDP_ASSERT(spans_[i] == span,
+                   "%s: entry %u indexed over buckets [%lld, %lld] but "
+                   "captures [%lld, %lld]", auditName(), i,
+                   static_cast<long long>(spans_[i].lo),
+                   static_cast<long long>(spans_[i].hi),
+                   static_cast<long long>(span.lo),
+                   static_cast<long long>(span.hi));
+        markSpan(expect, entryBit(i), span, true);
     }
-    FDP_ASSERT(pos == monitorIdx_.size(),
-               "%s: monitor list holds %zu indices for %zu monitoring "
-               "entries", auditName(), monitorIdx_.size(), pos);
+    const std::uint64_t live =
+        entries_.size() == kMaxStreams ? ~std::uint64_t{0}
+                                       : entryBit(entries_.size()) - 1;
+    FDP_ASSERT(((monitorMask_ | trainMask_) & ~live) == 0,
+               "%s: state masks name entries past the %zu-entry table",
+               auditName(), entries_.size());
+    for (unsigned s = 0; s < kIndexSlots; ++s) {
+        const std::uint64_t missing = expect[s] & ~slots_[s];
+        const std::uint64_t stale = slots_[s] & ~expect[s];
+        FDP_ASSERT(missing == 0,
+                   "%s: index slot %u lacks entry %d in its capture range",
+                   auditName(), s, std::countr_zero(missing));
+        FDP_ASSERT(stale == 0,
+                   "%s: index slot %u holds entry %d outside its capture "
+                   "range", auditName(), s, std::countr_zero(stale));
+    }
 }
 
 void
@@ -335,19 +430,29 @@ StreamPrefetcher::loadState(SnapReader &r)
     }
     r.closeSection();
 
-    // Rebuild the derived monitor-index list the snapshot omits.
-    monitorIdx_.clear();
-    for (unsigned i = 0; i < entries_.size(); ++i)
-        if (entries_[i].state == State::MonitorRequest)
-            monitorIdx_.push_back(i);
+    // The index does bucket arithmetic on these fields: a hostile image
+    // must fail here rather than overflow there. Real blocks are < 2^58.
+    constexpr std::int64_t kBlockLimit = std::int64_t{1} << 60;
+    for (unsigned i = 0; i < entries_.size(); ++i) {
+        const Entry &e = entries_[i];
+        for (const std::int64_t b :
+             {e.firstMiss, e.lastMiss, e.startPtr, e.endPtr})
+            if (b < -kBlockLimit || b > kBlockLimit)
+                fatal("snapshot: stream prefetcher entry %u block %lld out "
+                      "of range", i, static_cast<long long>(b));
+    }
+
+    // Rebuild the derived block-range index the snapshot omits.
+    rebuildIndex();
 }
 
 unsigned
 StreamPrefetcher::numActiveStreams() const
 {
     unsigned n = 0;
-    for (const std::uint32_t i : monitorIdx_)
-        if (tick_ - entries_[i].lastUse <= params_.activityWindow)
+    for (std::uint64_t m = monitorMask_; m != 0; m &= m - 1)
+        if (tick_ - entries_[std::countr_zero(m)].lastUse <=
+            params_.activityWindow)
             ++n;
     return n;
 }
@@ -355,7 +460,7 @@ StreamPrefetcher::numActiveStreams() const
 unsigned
 StreamPrefetcher::numMonitoringStreams() const
 {
-    return static_cast<unsigned>(monitorIdx_.size());
+    return static_cast<unsigned>(std::popcount(monitorMask_));
 }
 
 } // namespace fdp

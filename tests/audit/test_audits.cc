@@ -363,6 +363,33 @@ TEST(StreamAuditDeathTest, IllegalStateCaught)
     EXPECT_DEATH(pf.audit(), "illegal state");
 }
 
+/** A prefetcher with entry 0 monitoring an ascending stream. */
+void
+trainStream(StreamPrefetcher &pf)
+{
+    std::vector<BlockAddr> out;
+    for (BlockAddr b = 0x400; b < 0x403; ++b)
+        pf.observe({blockBase(b), b, 0x1000, true}, out);
+    ASSERT_EQ(pf.entryState(0), StreamPrefetcher::State::MonitorRequest);
+    pf.audit();
+}
+
+TEST(StreamAuditDeathTest, DroppedIndexBitCaught)
+{
+    StreamPrefetcher pf;
+    trainStream(pf);
+    AuditCorrupter::streamDropIndexBit(pf);
+    EXPECT_DEATH(pf.audit(), "lacks entry 0 in its capture range");
+}
+
+TEST(StreamAuditDeathTest, WrongStateMaskCaught)
+{
+    StreamPrefetcher pf;
+    trainStream(pf);
+    AuditCorrupter::streamWrongStateMask(pf);
+    EXPECT_DEATH(pf.audit(), "monitor mask bit of entry 0 disagrees");
+}
+
 TEST(GhbAudit, CleanPrefetcherPasses)
 {
     GhbPrefetcher pf;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -214,6 +215,44 @@ TEST(StreamPrefetcherDeath, BadLevelPanics)
     StreamPrefetcher pf;
     EXPECT_DEATH(pf.setAggressiveness(0), "bad aggressiveness");
     EXPECT_DEATH(pf.setAggressiveness(6), "bad aggressiveness");
+}
+
+TEST(StreamPrefetcherDeath, TableOutsideOneToSixtyFourEntriesIsFatal)
+{
+    // Each tracking entry owns one bit of the 64-bit index masks.
+    StreamPrefetcherParams p;
+    p.numStreams = 0;
+    EXPECT_EXIT(StreamPrefetcher{p}, ::testing::ExitedWithCode(1),
+                "needs 1..64 tracking entries, got 0");
+    p.numStreams = 65;
+    EXPECT_EXIT(StreamPrefetcher{p}, ::testing::ExitedWithCode(1),
+                "needs 1..64 tracking entries, got 65");
+}
+
+TEST(StreamPrefetcherDeath, SnapshotBlockOutOfRangeIsFatal)
+{
+    // A hand-built image whose first entry points near INT64_MIN: the
+    // index's bucket arithmetic would overflow on it.
+    SnapWriter w;
+    w.beginSection("stream");
+    w.putU8(3);
+    w.putU64(0);
+    w.putU32(1);
+    w.putU8(static_cast<std::uint8_t>(
+        StreamPrefetcher::State::MonitorRequest));
+    w.putI64(1);
+    w.putI64(0);
+    w.putI64(0);
+    w.putI64(INT64_MIN + 1);
+    w.putI64(0);
+    w.putU64(0);
+    w.endSection();
+    StreamPrefetcherParams p;
+    p.numStreams = 1;
+    StreamPrefetcher pf(p);
+    SnapReader r(w.bytes());
+    EXPECT_EXIT(pf.loadState(r), ::testing::ExitedWithCode(1),
+                "entry 0 block -9223372036854775807 out of range");
 }
 
 // Property: for every level, a long sequential walk gets fully covered

@@ -176,6 +176,22 @@ struct AuditCorrupter
         pf.entries_.front().state = static_cast<StreamPrefetcher::State>(9);
     }
 
+    /** Clear entry 0's bit in the index slot of its last bucket, so a
+     *  block there would no longer find the entry. */
+    static void
+    streamDropIndexBit(StreamPrefetcher &pf)
+    {
+        const auto span = pf.spans_.front();
+        pf.slots_[StreamPrefetcher::slotOf(span.hi)] &= ~std::uint64_t{1};
+    }
+
+    /** Mark entry 0 as monitoring in the state mask, whatever its state. */
+    static void
+    streamWrongStateMask(StreamPrefetcher &pf)
+    {
+        pf.monitorMask_ ^= 1;
+    }
+
     /** Make the newest GHB entry's link point at itself (a cycle). */
     static void
     ghbLinkCycle(GhbPrefetcher &pf)
